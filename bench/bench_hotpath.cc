@@ -5,7 +5,9 @@
  * Tight loops over the structures the per-access translation path is
  * made of — the packed set-associative cache, the elastic cuckoo
  * table's find and probe-address generation, and the one-pass hash
- * family — reported as operations per second and written to
+ * family — plus the functional layer's fault-in path (ECPT map with
+ * CWT maintenance, and a whole Nested-ECPT prefault), reported as
+ * operations per second and nanoseconds per operation and written to
  * BENCH_hotpath.json in the same shape bench_sim_throughput emits, so
  * tools/check_bench.py can diff either artifact against its committed
  * baseline. These are the structures the allocation-free-hot-path work
@@ -21,7 +23,10 @@
 #include "bench/bench_util.hh"
 #include "common/hash.hh"
 #include "mem/cache.hh"
+#include "os/system.hh"
 #include "pt/cuckoo.hh"
+#include "pt/ecpt.hh"
+#include "sim/config.hh"
 #include "tests/test_util.hh" // BumpAllocator backing the tables
 
 using namespace necpt;
@@ -50,8 +55,9 @@ measure(const std::string &name, std::uint64_t ops, Fn &&body)
     s.ops = ops;
     s.seconds = std::chrono::duration<double>(end - begin).count();
     s.rate = s.seconds > 0 ? static_cast<double>(ops) / s.seconds : 0.0;
-    std::printf("%-28s %12llu ops  %8.3f s  %14.0f ops/s\n", name.c_str(),
-                (unsigned long long)ops, s.seconds, s.rate);
+    std::printf("%-28s %12llu ops  %8.3f s  %14.0f ops/s  %8.1f ns/op\n",
+                name.c_str(), (unsigned long long)ops, s.seconds, s.rate,
+                ops ? s.seconds * 1e9 / static_cast<double>(ops) : 0.0);
     return s;
 }
 
@@ -164,6 +170,42 @@ hashAll()
     });
 }
 
+Sample
+ecptMap()
+{
+    // A host-side table with a PTE CWT (the Advanced design): every map
+    // is one cuckoo update plus CWT way and has-smaller maintenance,
+    // including the elastic resizes a growing table goes through.
+    BumpAllocator alloc;
+    EcptConfig cfg;
+    cfg.has_pte_cwt = true;
+    EcptPageTable pt(alloc, cfg);
+    const std::uint64_t pages = 1'000'000;
+    return measure("ecpt_map", pages, [&] {
+        for (std::uint64_t i = 0; i < pages; ++i)
+            pt.map(0x10'0000'0000ULL + (i << 12), i << 12,
+                   PageSize::Page4K);
+        g_sink = pt.mappingCount(PageSize::Page4K);
+    });
+}
+
+Sample
+prefault()
+{
+    // Nested ECPTs (4KB guest and host pages): one guest and one host
+    // fault per page of a 256MB VMA. The rate is per fault.
+    NestedSystem sys(makeConfig(ConfigId::NestedEcpt).system);
+    sys.mmapRegion(256ULL << 20);
+    const std::uint64_t faults = 2 * ((256ULL << 20) >> 12);
+    Sample s = measure("prefault", faults, [&] { sys.prefaultAll(); });
+    if (sys.guestFaults() + sys.hostFaults() != faults)
+        std::fprintf(stderr, "prefault: expected %llu faults, got %llu\n",
+                     (unsigned long long)faults,
+                     (unsigned long long)(sys.guestFaults()
+                                          + sys.hostFaults()));
+    return s;
+}
+
 } // namespace
 
 int
@@ -178,6 +220,8 @@ main()
     samples.push_back(cuckooFind());
     samples.push_back(cuckooProbeAddrs());
     samples.push_back(hashAll());
+    samples.push_back(ecptMap());
+    samples.push_back(prefault());
 
     const char *path = "BENCH_hotpath.json";
     std::FILE *out = std::fopen(path, "w");
@@ -191,9 +235,11 @@ main()
         const Sample &s = samples[i];
         std::fprintf(out,
                      "    {\"name\": \"%s\", \"ops\": %llu, "
-                     "\"seconds\": %.6f, \"ops_per_sec\": %.1f}%s\n",
+                     "\"seconds\": %.6f, \"ops_per_sec\": %.1f, "
+                     "\"ns_per_op\": %.1f}%s\n",
                      s.name.c_str(), (unsigned long long)s.ops, s.seconds,
-                     s.rate, i + 1 < samples.size() ? "," : "");
+                     s.rate, s.rate > 0 ? 1e9 / s.rate : 0.0,
+                     i + 1 < samples.size() ? "," : "");
     }
     std::fprintf(out, "  ]\n}\n");
     std::fclose(out);

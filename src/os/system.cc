@@ -186,46 +186,37 @@ NestedSystem::hostMap(Addr gpa, Addr hpa, PageSize size)
     }
 }
 
-void
+Translation
 NestedSystem::guestFaultIn(Addr gva, const Vma &vma)
 {
     PhysMemPool &frames = cfg.virtualized ? *guest_pool : *host_pool;
     ++guest_faults;
 
     // Explicit 1GB (hugetlbfs-style) regions bypass the THP policy.
-    if (vma.use_1g) {
-        const Addr page = pageBase(gva, PageSize::Page1G);
-        guestMap(page, frames.allocFrame(PageSize::Page1G),
-                 PageSize::Page1G);
-        return;
-    }
-
-    // THP feasibility is decided per contiguous 64MB chunk: real
-    // allocators succeed or fail in zones rather than salt-and-pepper
-    // at 2MB granularity, and 64MB keeps the coverage fraction
-    // meaningful even for sub-GB arrays.
-    const auto region = gva >> 26;
-    bool use_thp = false;
-    if (cfg.guest_thp && vma.thp_eligible) {
-        auto it = guest_block_thp.find(region);
-        if (it == guest_block_thp.end()) {
-            use_thp =
-                blockCovered(region, cfg.guest_thp_coverage, 0x6E57);
-            guest_block_thp.emplace(region, use_thp);
-        } else {
-            use_thp = it->second;
+    PageSize size = PageSize::Page1G;
+    if (!vma.use_1g) {
+        // THP feasibility is decided per contiguous 64MB chunk: real
+        // allocators succeed or fail in zones rather than salt-and-
+        // pepper at 2MB granularity, and 64MB keeps the coverage
+        // fraction meaningful even for sub-GB arrays.
+        const auto region = gva >> 26;
+        bool use_thp = false;
+        if (cfg.guest_thp && vma.thp_eligible) {
+            auto it = guest_block_thp.find(region);
+            if (it == guest_block_thp.end()) {
+                use_thp =
+                    blockCovered(region, cfg.guest_thp_coverage, 0x6E57);
+                guest_block_thp.emplace(region, use_thp);
+            } else {
+                use_thp = it->second;
+            }
         }
+        size = use_thp ? PageSize::Page2M : PageSize::Page4K;
     }
 
-    if (use_thp) {
-        const Addr page = pageBase(gva, PageSize::Page2M);
-        const Addr frame = frames.allocFrame(PageSize::Page2M);
-        guestMap(page, frame, PageSize::Page2M);
-    } else {
-        const Addr page = pageBase(gva, PageSize::Page4K);
-        const Addr frame = frames.allocFrame(PageSize::Page4K);
-        guestMap(page, frame, PageSize::Page4K);
-    }
+    const Addr frame = frames.allocFrame(size);
+    guestMap(pageBase(gva, size), frame, size);
+    return {frame, size, true};
 }
 
 void
@@ -239,7 +230,7 @@ NestedSystem::hostFaultIn(Addr gpa)
         const Addr page = pageBase(gpa, PageSize::Page4K);
         hostMap(page, host_pool->allocFrame(PageSize::Page4K),
                 PageSize::Page4K);
-        host_blocks_with_4k.insert(gpa >> pageShift(PageSize::Page2M));
+        noteHost4kBlock(gpa);
         return;
     }
 
@@ -274,8 +265,18 @@ NestedSystem::hostFaultIn(Addr gpa)
         const Addr page = pageBase(gpa, PageSize::Page4K);
         hostMap(page, host_pool->allocFrame(PageSize::Page4K),
                 PageSize::Page4K);
-        host_blocks_with_4k.insert(gpa >> pageShift(PageSize::Page2M));
+        noteHost4kBlock(gpa);
     }
+}
+
+void
+NestedSystem::noteHost4kBlock(Addr gpa)
+{
+    const std::uint64_t block = gpa >> pageShift(PageSize::Page2M);
+    if (block == last_host_4k_block)
+        return;
+    host_blocks_with_4k.insert(block);
+    last_host_4k_block = block;
 }
 
 void
@@ -499,10 +500,9 @@ NestedSystem::isResident(Addr gva) const
     return h.valid;
 }
 
-bool
-NestedSystem::ensureResident(Addr gva)
+Translation
+NestedSystem::faultIn(Addr gva, bool &faulted)
 {
-    bool faulted = false;
     Translation g = guestTranslate(gva);
     if (!g.valid) {
         const Vma *vma = vmaOf(gva);
@@ -510,9 +510,11 @@ NestedSystem::ensureResident(Addr gva)
             throw ConfigError(strfmt(
                 "access to unmapped guest VA 0x%llx",
                 static_cast<unsigned long long>(gva)));
-        guestFaultIn(gva, *vma);
-        g = guestTranslate(gva);
-        NECPT_ASSERT(g.valid);
+        g = guestFaultIn(gva, *vma);
+        // HPT lookups are counted (avgProbes), and that statistic
+        // includes one lookup of each fresh mapping.
+        if (guest_hpt)
+            guest_hpt->lookup(gva);
         faulted = true;
     }
     if (cfg.virtualized) {
@@ -531,6 +533,14 @@ NestedSystem::ensureResident(Addr gva)
             faulted = true;
         }
     }
+    return g;
+}
+
+bool
+NestedSystem::ensureResident(Addr gva)
+{
+    bool faulted = false;
+    faultIn(gva, faulted);
     return faulted;
 }
 
@@ -539,14 +549,16 @@ NestedSystem::prefaultAll()
 {
     // Walk VMAs by mapped-page stride so a 2MB THP mapping advances
     // the cursor by 2MB.
+    bool faulted = false;
     for (std::size_t i = 0; i < vmas.size(); ++i) {
         const Vma vma = vmas[i];
-        Addr va = vma.base;
-        while (va < vma.base + vma.bytes) {
-            ensureResident(va);
-            const Translation g = guestTranslate(va);
-            va += g.valid ? pageBytes(g.size)
-                          : pageBytes(PageSize::Page4K);
+        for (Addr va = vma.base; va < vma.base + vma.bytes;) {
+            const Translation g = faultIn(va, faulted);
+            // Counted HPT probe statistics include prefault's stride
+            // lookup (see faultIn).
+            if (guest_hpt)
+                guest_hpt->lookup(va);
+            va += pageBytes(g.size);
         }
     }
     // Let background migration finish: measurement starts from a

@@ -305,11 +305,26 @@ class NestedSystem
     bool blockCovered(std::uint64_t block, double coverage,
                       std::uint64_t salt) const;
 
-    /** Install a guest mapping for the page containing @p gva. */
-    void guestFaultIn(Addr gva, const Vma &vma);
+    /**
+     * The fault-in path behind ensureResident() and prefaultAll():
+     * installs the guest mapping of @p gva and then the host backing
+     * of its gPA, each only when missing, with one functional lookup
+     * per level. Sets @p faulted when either level faulted.
+     * @return the guest translation of @p gva.
+     */
+    Translation faultIn(Addr gva, bool &faulted);
+
+    /** Install a guest mapping for the page containing @p gva.
+     *  @return the mapping installed. */
+    Translation guestFaultIn(Addr gva, const Vma &vma);
 
     /** Install host backing for the page containing @p gpa. */
     void hostFaultIn(Addr gpa);
+
+    /** Record that the 2MB gPA block holding @p gpa has a 4KB host
+     *  mapping (consecutive 4KB faults of one block touch the set
+     *  once). */
+    void noteHost4kBlock(Addr gpa);
 
     void guestMap(Addr gva, Addr gpa, PageSize size);
     void hostMap(Addr gpa, Addr hpa, PageSize size);
@@ -354,6 +369,8 @@ class NestedSystem
     /** gPA 2MB blocks already holding a 4KB mapping (e.g. a scattered
      *  page-table node): a huge host mapping would overlap them. */
     std::unordered_set<std::uint64_t> host_blocks_with_4k;
+    /** Last block added to host_blocks_with_4k (never erased). */
+    std::uint64_t last_host_4k_block = ~0ULL;
 
     std::uint64_t guest_faults = 0;
     std::uint64_t host_faults = 0;

@@ -69,10 +69,12 @@ class ElasticCuckooTable
         explicit operator bool() const { return value != nullptr; }
     };
 
-    /** Invoked whenever a key settles at a (possibly new) location.
-     *  Non-owning: the registered callee must outlive the table's use
-     *  (the ECPT stores its per-size notifier functors as members). */
-    using MoveCallback = FunctionRef<void(std::uint64_t key, int way)>;
+    /** Invoked whenever a key settles at a (possibly new) location,
+     *  with the payload now resident there. Non-owning: the registered
+     *  callee must outlive the table's use (the ECPT stores its
+     *  per-size notifier functors as members). */
+    using MoveCallback =
+        FunctionRef<void(std::uint64_t key, int way, const ValueT &value)>;
 
     ElasticCuckooTable(RegionAllocator &allocator,
                        const CuckooConfig &config)
@@ -108,11 +110,20 @@ class ElasticCuckooTable
     void setTracer(TraceBuffer *t) { tracer = t; }
 
     /**
-     * Insert or update @p key with @p value. Displaced entries are
-     * cuckoo-rehashed; the table resizes itself when needed.
+     * Insert or update @p key in place: @p edit(value) modifies the
+     * resident payload, or a default-constructed one when @p key is
+     * new. One hash pass serves both the lookup and the placement.
+     * The side effects run in a fixed order: the fault plan's resize
+     * window, placement (displaced entries are cuckoo-rehashed and
+     * every settled key is reported to the move callback), one
+     * migrateSome() step, the load-factor resize check, the trace
+     * event.
+     * @return the way holding @p key after all of that, following any
+     *         move migrateSome() made during this same call.
      */
-    void
-    insert(std::uint64_t key, const ValueT &value)
+    template <typename Edit>
+    int
+    update(std::uint64_t key, Edit &&edit)
     {
         // Injected resize window: open a fresh two-generation phase so
         // this insert (and the probes that follow) run mid-resize.
@@ -121,11 +132,24 @@ class ElasticCuckooTable
             startResize();
         }
         const std::uint64_t kicks_before = rehash_moves;
-        if (FindResult hit = find(key)) {
-            *hit.value = value;
+        std::uint64_t raw[HashFamily::max_ways];
+        rawHashes(key, raw);
+        // Every later move of the key (displacement, migration) comes
+        // back through notifyMove, which keeps settled_way current.
+        settling_key = key;
+        FindResult hit = findIn(live, key, false, raw);
+        if (!hit && old)
+            hit = findIn(*old, key, true, raw);
+        if (hit) {
+            edit(*hit.value);
+            settled_way = hit.way;
         } else {
-            homeless.emplace_back(key, value);
-            settle();
+            ValueT value{};
+            edit(value);
+            if (!tryPlace(key, value, raw)) {
+                recoverFailedPlace();
+                settle();
+            }
         }
         migrateSome();
         if (!old && loadFactor() > cfg.resize_threshold)
@@ -139,6 +163,14 @@ class ElasticCuckooTable
                 {{"kicks", static_cast<std::int64_t>(rehash_moves
                                                      - kicks_before)},
                  {"key", static_cast<std::int64_t>(key)}});
+        return settled_way;
+    }
+
+    /** Insert or overwrite @p key with @p value (see update()). */
+    int
+    insert(std::uint64_t key, const ValueT &value)
+    {
+        return update(key, [&](ValueT &v) { v = value; });
     }
 
     /** Look up @p key. */
@@ -173,9 +205,11 @@ class ElasticCuckooTable
     bool
     erase(std::uint64_t key)
     {
-        bool hit = eraseIn(live, key);
+        std::uint64_t raw[HashFamily::max_ways];
+        rawHashes(key, raw);
+        bool hit = eraseIn(live, key, raw);
         if (!hit && old)
-            hit = eraseIn(*old, key);
+            hit = eraseIn(*old, key, raw);
         for (auto it = homeless.begin(); it != homeless.end(); ++it) {
             if (it->first == key) {
                 homeless.erase(it);
@@ -369,12 +403,6 @@ class ElasticCuckooTable
         return gen.slot_mask ? (raw & gen.slot_mask) : (raw % gen.slots);
     }
 
-    std::uint64_t
-    slotIndex(const Generation &gen, int way, std::uint64_t key) const
-    {
-        return reduce(gen, hashes[way](key));
-    }
-
     Addr
     slotAddr(const Generation &gen, int way, std::uint64_t idx) const
     {
@@ -395,10 +423,10 @@ class ElasticCuckooTable
     }
 
     bool
-    eraseIn(Generation &gen, std::uint64_t key)
+    eraseIn(Generation &gen, std::uint64_t key, const std::uint64_t *raw)
     {
         for (int w = 0; w < cfg.ways; ++w) {
-            const auto idx = slotIndex(gen, w, key);
+            const auto idx = reduce(gen, raw[w]);
             Slot &slot = gen.way_slots[w][idx];
             if (slot.valid && slot.key == key) {
                 slot.valid = false;
@@ -412,10 +440,12 @@ class ElasticCuckooTable
     /**
      * Cuckoo placement into the live generation, displacing entries
      * along a bounded random-walk path. On failure the carried entry is
-     * parked on the homeless list and false is returned.
+     * parked on the homeless list and false is returned. @p key_raw,
+     * when given, holds @p key's hashes (the caller already probed).
      */
     bool
-    tryPlace(std::uint64_t key, const ValueT &value)
+    tryPlace(std::uint64_t key, const ValueT &value,
+             const std::uint64_t *key_raw = nullptr)
     {
         // Injected kick exhaustion: park the entry as if the bounded
         // random walk ran out. The caller must NOT double the table
@@ -431,16 +461,20 @@ class ElasticCuckooTable
         std::uint64_t cur_key = key;
         ValueT cur_value = value;
         int last_way = -1;
-        std::uint64_t raw[HashFamily::max_ways];
+        std::uint64_t buf[HashFamily::max_ways];
         for (int kick = 0; kick <= cfg.max_kicks; ++kick) {
-            rawHashes(cur_key, raw);
+            const std::uint64_t *raw = buf;
+            if (kick == 0 && key_raw)
+                raw = key_raw;
+            else
+                rawHashes(cur_key, buf);
             for (int w = 0; w < cfg.ways; ++w) {
                 const auto idx = reduce(live, raw[w]);
                 Slot &slot = live.way_slots[w][idx];
                 if (!slot.valid) {
                     slot = {cur_key, cur_value, true};
                     ++live.used;
-                    notifyMove(cur_key, w, kick > 0);
+                    notifyMove(cur_key, w, slot.value, kick > 0);
                     return true;
                 }
             }
@@ -452,7 +486,7 @@ class ElasticCuckooTable
             Slot &slot = live.way_slots[w][idx];
             std::swap(cur_key, slot.key);
             std::swap(cur_value, slot.value);
-            notifyMove(slot.key, w, true);
+            notifyMove(slot.key, w, slot.value, true);
             last_way = w;
         }
         homeless.emplace_back(cur_key, cur_value);
@@ -466,30 +500,40 @@ class ElasticCuckooTable
         while (!homeless.empty()) {
             auto [key, value] = homeless.back();
             homeless.pop_back();
-            if (!tryPlace(key, value)) {
-                if (kick_injected) {
-                    // Injected exhaustion: the entry is parked, but
-                    // growing for it would let the fault rate compound
-                    // into runaway doubling. Retry instead — the next
-                    // placement is guaranteed genuine.
-                    kick_injected = false;
-                    continue;
-                }
-                // tryPlace parked the carried entry again; grow so the
-                // next round has double the space. Termination: capacity
-                // doubles every failure while |homeless| is bounded.
-                startResize();
-            }
+            if (!tryPlace(key, value))
+                recoverFailedPlace();
         }
     }
 
+    /** A tryPlace() failed and parked an entry on the homeless list;
+     *  make room before the entry is retried. */
     void
-    notifyMove(std::uint64_t key, int way, bool was_displacement)
+    recoverFailedPlace()
+    {
+        if (kick_injected) {
+            // Injected exhaustion: the entry is parked, but growing
+            // for it would let the fault rate compound into runaway
+            // doubling. Retry instead — the next placement is
+            // guaranteed genuine.
+            kick_injected = false;
+            return;
+        }
+        // Genuine exhaustion: grow so the next round has double the
+        // space. Termination: capacity doubles every failure while
+        // |homeless| is bounded.
+        startResize();
+    }
+
+    void
+    notifyMove(std::uint64_t key, int way, const ValueT &value,
+               bool was_displacement)
     {
         if (was_displacement)
             ++rehash_moves;
+        if (key == settling_key)
+            settled_way = way;
         if (on_move)
-            on_move(key, way);
+            on_move(key, way, value);
     }
 
     /**
@@ -591,6 +635,10 @@ class ElasticCuckooTable
     /** Set by tryPlace when its failure was injected, so the caller
      *  retries instead of doubling the table. */
     bool kick_injected = false;
+    /** The key update() is inserting and the way it last settled in
+     *  (stale between calls; only update() reads it). */
+    std::uint64_t settling_key = 0;
+    int settled_way = -1;
 
     std::uint64_t rehash_moves = 0;
     std::uint64_t resize_moves = 0;

@@ -38,9 +38,14 @@ CuckooWalkTable::~CuckooWalkTable()
 CuckooWalkTable::Chunk &
 CuckooWalkTable::chunkOf(Addr va)
 {
-    auto [it, fresh] = chunks.try_emplace(chunkKey(va));
+    const std::uint64_t key = chunkKey(va);
+    if (cached_chunk && cached_chunk_key == key)
+        return *cached_chunk;
+    auto [it, fresh] = chunks.try_emplace(key);
     if (fresh)
         it->second.base = alloc.allocRegion(chunk_bytes);
+    cached_chunk_key = key;
+    cached_chunk = &it->second;
     return it->second;
 }
 
@@ -76,16 +81,38 @@ CuckooWalkTable::unpackNibble(std::uint8_t nibble)
     return d;
 }
 
-void
-CuckooWalkTable::update(Addr va, const CwtDescriptor &d)
+std::array<std::uint32_t, 2> &
+CuckooWalkTable::countsOf(Addr va)
 {
-    Chunk &chunk = chunkOf(va);
-    const int section = sectionOf(va);
+    const std::uint64_t key = sectionKey(va);
+    if (!cached_counts || cached_counts_key != key) {
+        cached_counts_key = key;
+        cached_counts = &smaller_counts[key];
+    }
+    return *cached_counts;
+}
+
+CwtDescriptor
+CuckooWalkTable::readSection(const Chunk &chunk, int section)
+{
+    const std::uint8_t byte = chunk.nibbles[section / 2];
+    return unpackNibble((byte >> ((section % 2) * 4)) & 0xF);
+}
+
+void
+CuckooWalkTable::writeSection(Chunk &chunk, int section,
+                              const CwtDescriptor &d)
+{
     std::uint8_t &byte = chunk.nibbles[section / 2];
     const int shift = (section % 2) * 4;
     byte = static_cast<std::uint8_t>(
         (byte & ~(0xF << shift)) | (packNibble(d) << shift));
 }
+
+// The read-modify-write updates below materialize the chunk before
+// reading it: a section of a fresh chunk reads as the all-clear
+// descriptor, and a chunk's region is allocated by the first update
+// that touches it.
 
 void
 CuckooWalkTable::setPresent(Addr va, int way)
@@ -94,26 +121,24 @@ CuckooWalkTable::setPresent(Addr va, int way)
     CwtDescriptor d;
     d.present = true;
     d.way = static_cast<std::uint8_t>(way);
-    update(va, d);
+    writeSection(chunkOf(va), sectionOf(va), d);
 }
 
 void
 CuckooWalkTable::clearPresent(Addr va)
 {
-    CwtDescriptor d;
-    if (auto q = query(va))
-        d = *q;
+    Chunk &chunk = chunkOf(va);
+    CwtDescriptor d = readSection(chunk, sectionOf(va));
     d.present = false;
     d.way = 0;
-    update(va, d);
+    writeSection(chunk, sectionOf(va), d);
 }
 
 void
 CuckooWalkTable::setHasSmaller(Addr va, PageSize smaller)
 {
-    CwtDescriptor d;
-    if (auto q = query(va))
-        d = *q;
+    Chunk &chunk = chunkOf(va);
+    CwtDescriptor d = readSection(chunk, sectionOf(va));
     const bool already = (smaller == PageSize::Page4K && d.smaller_4k)
         || (smaller == PageSize::Page2M && d.smaller_2m);
     if (already && !d.present)
@@ -124,14 +149,13 @@ CuckooWalkTable::setHasSmaller(Addr va, PageSize smaller)
         d.smaller_4k = true;
     else if (smaller == PageSize::Page2M)
         d.smaller_2m = true;
-    update(va, d);
+    writeSection(chunk, sectionOf(va), d);
 }
 
 void
 CuckooWalkTable::addSmaller(Addr va, PageSize smaller)
 {
-    const int idx = smaller == PageSize::Page4K ? 0 : 1;
-    ++smaller_counts[sectionKey(va)][idx];
+    ++countsOf(va)[smaller == PageSize::Page4K ? 0 : 1];
     setHasSmaller(va, smaller);
 }
 
@@ -144,16 +168,18 @@ CuckooWalkTable::removeSmaller(Addr va, PageSize smaller)
     if (--it->second[idx] > 0)
         return;
     // Last page of this size in the section: downgrade the descriptor.
-    CwtDescriptor d;
-    if (auto q = query(va))
-        d = *q;
+    Chunk &chunk = chunkOf(va);
+    CwtDescriptor d = readSection(chunk, sectionOf(va));
     if (smaller == PageSize::Page4K)
         d.smaller_4k = false;
     else
         d.smaller_2m = false;
-    update(va, d);
-    if (it->second[0] == 0 && it->second[1] == 0)
+    writeSection(chunk, sectionOf(va), d);
+    if (it->second[0] == 0 && it->second[1] == 0) {
+        if (cached_counts == &it->second)
+            cached_counts = nullptr;
         smaller_counts.erase(it);
+    }
 }
 
 std::optional<CwtDescriptor>
@@ -162,9 +188,7 @@ CuckooWalkTable::query(Addr va) const
     const Chunk *chunk = peekChunk(va);
     if (!chunk)
         return std::nullopt;
-    const int section = sectionOf(va);
-    const std::uint8_t byte = chunk->nibbles[section / 2];
-    return unpackNibble((byte >> ((section % 2) * 4)) & 0xF);
+    return readSection(*chunk, sectionOf(va));
 }
 
 void

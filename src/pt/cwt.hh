@@ -166,11 +166,16 @@ class CuckooWalkTable
                                 & (sections_per_chunk - 1));
     }
 
+    /** The chunk covering @p va, allocated on first touch. */
     Chunk &chunkOf(Addr va);
     const Chunk *peekChunk(Addr va) const;
 
-    /** Read-modify-write of one section descriptor. */
-    void update(Addr va, const CwtDescriptor &d);
+    /** Per-size page counts of the section containing @p va. */
+    std::array<std::uint32_t, 2> &countsOf(Addr va);
+
+    static CwtDescriptor readSection(const Chunk &chunk, int section);
+    static void writeSection(Chunk &chunk, int section,
+                             const CwtDescriptor &d);
 
     static std::uint8_t packNibble(const CwtDescriptor &d);
     static CwtDescriptor unpackNibble(std::uint8_t nibble);
@@ -196,6 +201,16 @@ class CuckooWalkTable
      *  backs the exact clear in removeSmaller(). */
     std::unordered_map<std::uint64_t, std::array<std::uint32_t, 2>>
         smaller_counts;
+
+    /// @name One-entry caches for runs of pages in one chunk / section
+    /// (unordered_map references survive rehashing; chunks are never
+    /// erased, a cached count is dropped when its entry is).
+    /// @{
+    std::uint64_t cached_chunk_key = 0;
+    Chunk *cached_chunk = nullptr;
+    std::uint64_t cached_counts_key = 0;
+    std::array<std::uint32_t, 2> *cached_counts = nullptr;
+    /// @}
 };
 
 } // namespace necpt

@@ -45,7 +45,7 @@ EcptPageTable::EcptPageTable(RegionAllocator &allocator,
 
 void
 EcptPageTable::noteBlockPlacement(PageSize size, std::uint64_t key,
-                                  int way)
+                                  int way, const PteBlock &block)
 {
     CuckooWalkTable *cwt = cwtOf(size);
     if (!cwt)
@@ -53,11 +53,8 @@ EcptPageTable::noteBlockPlacement(PageSize size, std::uint64_t key,
     // The block covers 8 consecutive pages; each of its *mapped* pages'
     // sections must have their way bits refreshed.
     const Addr block_base = (key << 3) << pageShift(size);
-    auto hit = tableOf(size).find(key);
-    if (!hit)
-        return;
     for (int j = 0; j < PteBlock::entries; ++j) {
-        if (hit.value->pte[j].present()) {
+        if (block.pte[j].present()) {
             const Addr va = block_base
                 + (static_cast<Addr>(j) << pageShift(size));
             cwt->setPresent(va, way);
@@ -70,22 +67,19 @@ EcptPageTable::map(Addr va, Addr pa, PageSize size)
 {
     NECPT_ASSERT(pageOffset(va, size) == 0);
     NECPT_ASSERT(pageOffset(pa, size) == 0);
-    auto &table = tableOf(size);
-    const auto key = blockKey(va, size);
     const int sub = static_cast<int>(pageNumber(va, size) & 0x7);
-
-    PteBlock block;
-    if (auto hit = table.find(key))
-        block = *hit.value;
-    const bool fresh = !block.pte[sub].present();
-    block.pte[sub] = Pte::make(pa);
-    table.insert(key, block);
+    bool fresh = false;
+    const int way =
+        tableOf(size).update(blockKey(va, size), [&](PteBlock &block) {
+            fresh = !block.pte[sub].present();
+            block.pte[sub] = Pte::make(pa);
+        });
     if (fresh)
         ++mapped[static_cast<int>(size)];
 
-    // CWT maintenance: present bit at this size...
+    // CWT maintenance: present bit at this size (placement already
+    // refreshed the block's other pages through the move callback)...
     if (CuckooWalkTable *cwt = cwtOf(size)) {
-        const int way = table.wayOf(key);
         NECPT_ASSERT(way >= 0);
         cwt->setPresent(va, way);
     }

@@ -100,7 +100,7 @@ TEST(Cuckoo, DisplacementsReported)
     cfg.resize_threshold = 0.95; // force collisions before resizing
     Table table(alloc, cfg);
     std::map<std::uint64_t, int> way_of;
-    auto record = [&](std::uint64_t key, int way) {
+    auto record = [&](std::uint64_t key, int way, const std::uint64_t &) {
         way_of[key] = way;
     };
     table.setMoveCallback(record);
@@ -259,5 +259,106 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair(3, 16ULL),
                       std::make_pair(3, 64ULL),
                       std::make_pair(4, 64ULL)));
+
+// ------------------------------------------- single-probe update path
+
+/** Fill @p table until an elastic resize is in flight. */
+std::uint64_t
+fillUntilResizing(Table &table, std::uint64_t first = 1)
+{
+    std::uint64_t k = first;
+    while (!table.resizing())
+        table.insert(k, k), ++k;
+    return k;
+}
+
+TEST(Cuckoo, UpdateReportsTheSettledWay)
+{
+    BumpAllocator alloc;
+    CuckooConfig cfg = tinyConfig(32, 2);
+    cfg.resize_threshold = 0.95; // long displacement chains
+    Table table(alloc, cfg);
+    for (std::uint64_t k = 0; k < 400; ++k) {
+        const int way = table.insert(k * 7919, k);
+        ASSERT_EQ(way, table.wayOf(k * 7919)) << "key " << k;
+        // Overwrite in place: same answer, new payload.
+        ASSERT_EQ(table.update(k * 7919, [](std::uint64_t &v) { v += 1; }),
+                  table.wayOf(k * 7919));
+        ASSERT_EQ(*table.find(k * 7919).value, k + 1);
+    }
+    EXPECT_GT(table.rehashMoves(), 0u);
+    EXPECT_GT(table.resizeCount(), 0u);
+}
+
+// The one migrateSome() step of an update can move the very key being
+// updated out of the retiring generation: the way reported must be
+// where it landed, not where the probe found it. Migration scans the
+// old generation way-major, the order forEach visits it, so updating
+// the first old entry makes the same call migrate it.
+TEST(Cuckoo, UpdateFollowsAMigrationOfItsOwnKey)
+{
+    BumpAllocator alloc;
+    Table table(alloc, tinyConfig(32, 3));
+    fillUntilResizing(table);
+    int way_changes = 0;
+    while (table.resizing()) {
+        std::uint64_t front = 0;
+        int old_way = -1;
+        table.forEach(
+            [&](std::uint64_t key, std::uint64_t, int way, bool in_old) {
+                if (in_old && old_way < 0) {
+                    front = key;
+                    old_way = way;
+                }
+            });
+        if (old_way < 0)
+            break;
+        const int way =
+            table.update(front, [](std::uint64_t &v) { v = 99; });
+        const auto hit = table.find(front);
+        ASSERT_TRUE(hit);
+        ASSERT_FALSE(hit.in_old_generation) << "key " << front;
+        ASSERT_EQ(way, hit.way) << "key " << front;
+        ASSERT_EQ(*hit.value, 99u);
+        way_changes += way != old_way;
+    }
+    // Some migrations landed in another way than the key held before.
+    EXPECT_GT(way_changes, 0);
+}
+
+TEST(Cuckoo, EraseRemovesFromBothGenerationsMidResize)
+{
+    BumpAllocator alloc;
+    Table table(alloc, tinyConfig(32, 3));
+    // One insert past the resize start: the live generation holds the
+    // new key plus the first migrated entries, the old one the rest.
+    std::uint64_t end = fillUntilResizing(table);
+    table.insert(end, end), ++end;
+    std::vector<std::uint64_t> in_old, in_live;
+    table.forEach([&](std::uint64_t key, std::uint64_t, int, bool old) {
+        (old ? in_old : in_live).push_back(key);
+    });
+    ASSERT_GE(in_old.size(), 2u);
+    ASSERT_GE(in_live.size(), 1u);
+
+    const std::uint64_t size_before = table.size();
+    const std::vector<std::uint64_t> victims = {in_old.back(), in_old[0],
+                                                in_live[0]};
+    for (const std::uint64_t key : victims) {
+        EXPECT_TRUE(table.erase(key)) << "key " << key;
+        EXPECT_FALSE(table.find(key)) << "key " << key;
+        EXPECT_FALSE(table.erase(key)) << "key " << key;
+    }
+    EXPECT_TRUE(table.resizing());
+    EXPECT_EQ(table.size(), size_before - victims.size());
+    EXPECT_EQ(table.eraseCount(), victims.size());
+
+    table.finishResize();
+    for (std::uint64_t k = 1; k < end; ++k) {
+        const bool erased =
+            std::find(victims.begin(), victims.end(), k) != victims.end();
+        EXPECT_EQ(static_cast<bool>(table.find(k)), !erased) << "key " << k;
+    }
+}
 
 } // namespace necpt

@@ -4,6 +4,10 @@
 
 #include <algorithm>
 
+#include <map>
+
+#include "common/error.hh"
+#include "common/fault.hh"
 #include "common/rng.hh"
 #include "pt/ecpt.hh"
 #include "tests/test_util.hh"
@@ -202,6 +206,121 @@ TEST(Ecpt, RandomMixedSizesRoundTrip)
         ASSERT_TRUE(r.translation.valid);
         EXPECT_EQ(r.translation.size, e.size);
     }
+}
+
+// ------------------------------------------- single-probe map path
+
+namespace
+{
+
+/** Every mapped page resolves to its frame and its CWT way bits name
+ *  the way that holds its block; the full audit passes too. */
+void
+expectCwtExact(const EcptPageTable &pt,
+               const std::map<Addr, std::pair<Addr, PageSize>> &mapped,
+               const std::string &step)
+{
+    for (const auto &[va, m] : mapped) {
+        const auto &[pa, size] = m;
+        const auto r = pt.lookupSized(va, size);
+        ASSERT_TRUE(r.translation.valid) << step << " va " << std::hex << va;
+        ASSERT_EQ(r.translation.pa, pa) << step << " va " << std::hex << va;
+        const auto d = pt.cwtOf(size)->query(va);
+        ASSERT_TRUE(d && d->present) << step << " va " << std::hex << va;
+        ASSERT_EQ(d->way,
+                  pt.tableOf(size).wayOf(pt.blockKey(va, size)))
+            << step << " va " << std::hex << va;
+    }
+    ASSERT_NO_THROW(pt.auditCwtConsistency(step));
+}
+
+} // namespace
+
+// map / remap / unmap under forced resize windows and kick exhaustion:
+// the way map() takes from the single-probe update must match wayOf
+// after every step, for every mapped page.
+TEST(Ecpt, SingleProbeMapKeepsCwtWaysExactUnderFaults)
+{
+    BumpAllocator alloc;
+    EcptConfig cfg = smallEcpt(true);
+    cfg.initial_slots = {32, 32, 16};
+    EcptPageTable pt(alloc, cfg);
+    FaultSpec spec;
+    spec.kick_prob = 0.3;
+    spec.resize_prob = 0.05;
+    FaultPlan plan(spec, 23);
+    pt.setFaultPlan(&plan);
+
+    Rng rng(5);
+    std::map<Addr, std::pair<Addr, PageSize>> mapped;
+    for (int step = 0; step < 1500; ++step) {
+        const auto size = rng.below(4) ? PageSize::Page4K : PageSize::Page2M;
+        // Disjoint regions per size; a narrow VA range so remaps and
+        // unmaps hit pages that are actually mapped.
+        const Addr va = (size == PageSize::Page4K ? 0x10'0000'0000ULL
+                                                  : 0x20'0000'0000ULL)
+            + (rng.below(512) << pageShift(size));
+        const Addr pa = rng.below(1 << 16) << pageShift(size);
+        if (mapped.count(va) && rng.below(3) == 0) {
+            pt.unmap(va, size);
+            mapped.erase(va);
+        } else {
+            pt.map(va, pa, size); // fresh map or in-place remap
+            mapped[va] = {pa, size};
+        }
+        expectCwtExact(pt, mapped, "step " + std::to_string(step));
+        if (HasFatalFailure())
+            return;
+    }
+    const auto &t4k = pt.tableOf(PageSize::Page4K);
+    EXPECT_GT(t4k.injectedKickFailures(), 0u);
+    EXPECT_GT(t4k.injectedResizes(), 0u);
+    EXPECT_GT(t4k.resizeMoves(), 0u);
+    EXPECT_GT(t4k.eraseCount(), 0u);
+}
+
+// A remap whose block sits at the front of the retiring generation:
+// the same map() call's migration step moves it, and the CWT must
+// follow it to the live generation.
+TEST(Ecpt, RemapFollowsAMigrationOfItsOwnBlock)
+{
+    BumpAllocator alloc;
+    EcptConfig cfg = smallEcpt(true);
+    cfg.initial_slots = {32, 32, 16};
+    EcptPageTable pt(alloc, cfg);
+    auto &table = pt.tableOf(PageSize::Page4K);
+    std::map<Addr, std::pair<Addr, PageSize>> mapped;
+    for (Addr va = 0x10'0000'0000ULL; !table.resizing(); va += 4096) {
+        const Addr pa = va - 0x10'0000'0000ULL;
+        pt.map(va, pa, PageSize::Page4K);
+        mapped[va] = {pa, PageSize::Page4K};
+    }
+    int way_changes = 0;
+    while (table.resizing()) {
+        std::uint64_t front = 0;
+        int old_way = -1;
+        table.forEach(
+            [&](std::uint64_t key, const PteBlock &, int way, bool old) {
+                if (old && old_way < 0) {
+                    front = key;
+                    old_way = way;
+                }
+            });
+        if (old_way < 0)
+            break;
+        // Every block here holds its first page (sequential maps).
+        const Addr va = (front << 3) << pageShift(PageSize::Page4K);
+        ASSERT_TRUE(mapped.count(va));
+        const Addr pa = mapped[va].first + 0x4000'0000;
+        pt.map(va, pa, PageSize::Page4K);
+        mapped[va] = {pa, PageSize::Page4K};
+        ASSERT_FALSE(table.find(front).in_old_generation);
+        way_changes += table.wayOf(front) != old_way;
+        expectCwtExact(pt, mapped, "remap");
+        if (HasFatalFailure())
+            return;
+    }
+    EXPECT_GT(way_changes, 0);
 }
 
 } // namespace necpt
