@@ -456,8 +456,7 @@ NestedSystem::writeProtectPage(Addr gva)
     if (!g.valid)
         return false;
     // Residency is untouched (the mapping stays valid), but the PTE
-    // flag RMW is still a table mutation: bump conservatively so any
-    // outstanding lookahead verdict re-verifies.
+    // flag RMW is still a table mutation.
     ++mutation_stamp;
     if (guest_ecpt)
         return guest_ecpt->writeProtect(pageBase(gva, g.size), g.size);
@@ -465,39 +464,6 @@ NestedSystem::writeProtectPage(Addr gva)
     // downgrade is the invalidation itself (the caller shoots the
     // cached translation down).
     return true;
-}
-
-bool
-NestedSystem::isResident(Addr gva) const
-{
-    // Side-effect-free twin of ensureResident(): no faults, no
-    // statistics, no tracer output — callable from the epoch barrier's
-    // worker threads (the HPT paths use the uncounted peek; the other
-    // organizations' lookups are stat-free already). True means
-    // ensureResident(gva) would be a pure no-op under the current
-    // mutationStamp().
-    Translation g;
-    if (guest_radix)
-        g = guest_radix->lookup(gva);
-    else if (guest_hpt)
-        g = guest_hpt->peek(gva);
-    else
-        g = guest_ecpt->lookup(gva);
-    if (!g.valid)
-        return false;
-    if (!cfg.virtualized)
-        return true;
-    const Addr gpa = g.apply(gva);
-    Translation h;
-    if (host_radix)
-        h = host_radix->lookup(gpa);
-    else if (host_ecpt)
-        h = host_ecpt->lookup(gpa);
-    else if (host_flat)
-        h = host_flat->lookup(gpa);
-    else
-        h = host_hpt->peek(gpa);
-    return h.valid;
 }
 
 Translation
@@ -576,9 +542,7 @@ NestedSystem::quiesce()
         host_ecpt->quiesce();
     // Completing in-flight elastic resizes retires the old table
     // generations, which changes the probe-address sets hardware would
-    // fetch — a layout mutation even though no mapping changed. Bump
-    // the stamp so speculative probe precomputations (walk/spec_plan.hh)
-    // computed against the pre-quiesce layout are discarded.
+    // fetch — a layout mutation even though no mapping changed.
     ++mutation_stamp;
 }
 
@@ -623,10 +587,9 @@ NestedSystem::peekFullTranslate(Addr gva) const
     // Strictly side-effect free (see the header contract): guest
     // lookups through the HPT use the uncounted peek, the host side
     // goes through hostPeek's peek chain, and nothing faults in. The
-    // composition mirrors fullTranslate() exactly, so under an
-    // unchanged mutationStamp() a valid result here is byte-identical
-    // to what fullTranslate() would produce (which, with both lookups
-    // hitting, is itself mutation-free).
+    // composition mirrors fullTranslate() exactly, so a valid result
+    // here is byte-identical to what fullTranslate() would produce
+    // (which, with both lookups hitting, is itself mutation-free).
     Translation g;
     if (guest_radix)
         g = guest_radix->lookup(gva);

@@ -122,27 +122,14 @@ class NestedSystem
     bool ensureResident(Addr gva);
 
     /**
-     * Would ensureResident(@p gva) be a pure no-op right now? Strictly
-     * side-effect free — no faults, no statistics (HPT lookups go
-     * through the uncounted peek), no tracer output — so the
-     * thread-sharded simulator's lookahead workers may call it
-     * concurrently with each other (never with a mutation: the
-     * coordinator, the only mutator, is parked during rendezvous
-     * windows). A true verdict is valid while mutationStamp() is
-     * unchanged.
-     */
-    bool isResident(Addr gva) const;
-
-    /**
      * Monotonic page-table mutation counter: bumped by every map,
      * unmap, and permission change on either level (the guestMap /
      * guestUnmap / hostMap / hostUnmap / writeProtectPage funnels, so
      * churn, ballooning, migration, THP promotion/demotion, and
      * demand faults all count), plus quiesce() — retiring old table
      * generations changes probe-address layouts without touching any
-     * mapping. Lookahead residency verdicts and speculative walk plans
-     * carry the stamp they were computed under; consumers seeing a
-     * newer stamp must re-verify.
+     * mapping. The layout goldens record it as a count of every
+     * page-table update a run made.
      */
     std::uint64_t mutationStamp() const { return mutation_stamp; }
 
@@ -236,9 +223,9 @@ class NestedSystem
      * Side-effect-free twin of fullTranslate(): never faults backing
      * in (an unmapped host page yields an invalid result instead), no
      * statistics (HPT paths go through the uncounted peek), no tracer
-     * output. Callable from the epoch barrier's worker threads; while
-     * mutationStamp() is unchanged, a *valid* result is exactly what
-     * fullTranslate() would return.
+     * output. The layout goldens read every mapping through it, so
+     * dumping a layout cannot perturb the run; a *valid* result is
+     * exactly what fullTranslate() would return.
      */
     Translation peekFullTranslate(Addr gva) const;
     /// @}

@@ -51,11 +51,9 @@ class HashedPageTable
 
     /**
      * Statistics-free lookup: same chain walk, but does not count
-     * toward avgProbes(). The residency probes of the thread-sharded
-     * simulator use this — their call count depends on rendezvous
-     * timing, which must not perturb any observable statistic (and
-     * they may run on worker threads, where the mutable counters
-     * would race).
+     * toward avgProbes(). NestedSystem::peekFullTranslate uses it, so
+     * dumping a page-table layout cannot perturb the probe statistics
+     * it reports.
      */
     Translation peek(Addr va) const;
 

@@ -14,12 +14,12 @@
  * AttrCause::Coalesce (see Walker::recordCoalescedWalk), keeping both
  * cycle-ledger conservation and the walks ≈ L2-TLB-misses invariant.
  *
- * Determinism: the coalescer runs only on the coordinator thread,
- * inside step/retire events that the scheduler already orders
- * canonically, and waiters are fanned out in append order — so the
- * bytes cannot depend on --jobs or --sim-threads. Entries and waiter
- * vectors are pooled: steady state touches the heap only until the
- * working set's high-water mark is reached.
+ * Determinism: the coalescer runs inside step/retire events that the
+ * scheduler already orders deterministically, and waiters are fanned
+ * out in append order — so a same-seed run repeats byte for byte at
+ * any --jobs. Entries and waiter vectors are pooled: steady state
+ * touches the heap only until the working set's high-water mark is
+ * reached.
  */
 
 #ifndef NECPT_SIM_COALESCER_HH

@@ -5,9 +5,10 @@
  * Events are ordered by (cycle, priority, submission sequence): cycle
  * is the simulated time (a double, matching the cores' fractional
  * clocks), priority breaks same-cycle ties between event classes
- * (memory-completion pumps run at -1, core steps at their core index —
- * reproducing the legacy "advance the lowest-indexed earliest core"
- * rule), and the monotonically increasing sequence number makes the
+ * (coherence at -2, memory-completion pumps at -1, core steps and
+ * retires at their core index — reproducing the legacy "advance the
+ * lowest-indexed earliest core" rule — and the interval sampler
+ * last), and the monotonically increasing sequence number makes the
  * remaining ties deterministic regardless of heap internals. No
  * wall-clock or randomness is involved, so a run's event stream is a
  * pure function of its inputs — the property the sweep engine's
@@ -18,6 +19,10 @@
  * every simulator event satisfies by capturing a pointer to long-lived
  * loop state plus a few scalars. Scheduling an event therefore never
  * heap-allocates — the hot loop runs millions of them.
+ *
+ * Memory-completion pumps skip the Handler machinery altogether: they
+ * live on a calendar of bare cycles (armPump) merged with the event
+ * heap at priority -1.
  */
 
 #ifndef NECPT_SIM_SCHED_HH
@@ -27,10 +32,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <new>
 #include <type_traits>
 #include <vector>
 
+#include "common/function_ref.hh"
 #include "common/log.hh"
 
 namespace necpt
@@ -104,12 +111,56 @@ class EventScheduler
     at(double cycle, std::int64_t prio, Handler fn,
        std::uint8_t kind = 0)
     {
+        // Priority -1 is reserved for the pump calendar (armPump): a
+        // heap event there would be order-ambiguous against it.
+        NECPT_ASSERT(prio != pump_prio);
         const std::uint64_t seq = next_seq++;
         heap.push_back(Event{cycle, prio, seq, fn});
         std::push_heap(heap.begin(), heap.end(), After{});
         if (edges)
             edges->onEvent(seq, running_seq, cycle, prio, kind);
         return seq;
+    }
+
+    /** Callback for memory-completion pumps (see armPump). */
+    using PumpSink = FunctionRef<void(double)>;
+
+    /** Tie-break priority of the pump calendar's entries. */
+    static constexpr std::int64_t pump_prio = -1;
+
+    /**
+     * Register the handler every pump calendar entry fires into, and
+     * the edge-sink kind tag its fires report.
+     */
+    void
+    setPumpSink(PumpSink sink, std::uint8_t kind = 0)
+    {
+        pump_sink = sink;
+        pump_kind = kind;
+    }
+
+    /**
+     * Schedule a memory-completion pump at @p cycle (priority -1).
+     *
+     * Pumps are the one event class hot enough to deserve a bypass of
+     * the Handler machinery: every overlapped-walk memory transaction
+     * arms one, and each is the *same* call (drainUntil at its cycle).
+     * So instead of a closure on the event heap, a pump is a bare
+     * double on a min-heap of cycles, fanned into the registered sink
+     * when it runs. Entries sharing a cycle collapse into one sink
+     * call — the duplicates were no-op drains anyway — and a fire
+     * allocates its sequence number when it runs, which no other event
+     * can observe: priority -1 is calendar-exclusive, so a sequence
+     * comparison against a pump never happens, and renumbering the
+     * remaining events preserves their relative order.
+     */
+    void
+    armPump(double cycle)
+    {
+        NECPT_ASSERT(pump_sink);
+        pump_heap.push_back(cycle);
+        std::push_heap(pump_heap.begin(), pump_heap.end(),
+                       std::greater<double>{});
     }
 
     /**
@@ -123,16 +174,7 @@ class EventScheduler
     static constexpr std::uint64_t no_event = ~0ULL;
     std::uint64_t runningSeq() const { return running_seq; }
 
-    bool empty() const { return heap.empty(); }
-    std::size_t size() const { return heap.size(); }
-
-    /** Cycle of the next event to run; only valid when !empty(). */
-    double
-    nextCycle() const
-    {
-        NECPT_ASSERT(!heap.empty());
-        return heap.front().cycle;
-    }
+    bool empty() const { return heap.empty() && pump_heap.empty(); }
 
     /**
      * Pop and run the earliest event. The handler may enqueue further
@@ -142,7 +184,11 @@ class EventScheduler
     void
     runNext()
     {
-        NECPT_ASSERT(!heap.empty());
+        NECPT_ASSERT(!empty());
+        if (pumpNext()) {
+            runPump();
+            return;
+        }
         std::pop_heap(heap.begin(), heap.end(), After{});
         Event ev = heap.back();
         heap.pop_back();
@@ -174,7 +220,45 @@ class EventScheduler
         }
     };
 
+    /** Does the pump calendar's head run before the heap's? Its key
+     *  is (cycle, -1, -): priority -1 is calendar-exclusive, so the
+     *  comparison never reaches the sequence field. */
+    bool
+    pumpNext() const
+    {
+        if (pump_heap.empty())
+            return false;
+        if (heap.empty())
+            return true;
+        const Event &e = heap.front();
+        const double pc = pump_heap.front();
+        return pc != e.cycle ? pc < e.cycle : pump_prio < e.prio;
+    }
+
+    /** Pop every calendar entry at the head cycle and fire the sink
+     *  once, under a sequence number allocated now. */
+    void
+    runPump()
+    {
+        const double cyc = pump_heap.front();
+        do {
+            std::pop_heap(pump_heap.begin(), pump_heap.end(),
+                          std::greater<double>{});
+            pump_heap.pop_back();
+        } while (!pump_heap.empty() && pump_heap.front() == cyc);
+        const std::uint64_t seq = next_seq++;
+        if (edges)
+            edges->onEvent(seq, no_event, cyc, pump_prio, pump_kind);
+        running_seq = seq;
+        pump_sink(cyc);
+        running_seq = no_event;
+    }
+
     std::vector<Event> heap;
+    /** Min-heap of pump cycles (see armPump). */
+    std::vector<double> pump_heap;
+    PumpSink pump_sink;
+    std::uint8_t pump_kind = 0;
     std::uint64_t next_seq = 0;
     std::uint64_t running_seq = no_event;
     EventEdgeSink *edges = nullptr;

@@ -97,20 +97,10 @@ struct SimParams
      * both hold exactly. Waiters do not count toward the
      * max_outstanding_walks cap — that is the parallelism the MSHR
      * merge buys. Off, the simulation is byte-identical to a build
-     * without the feature; on, it is deterministic at any
-     * --jobs/--sim-threads.
+     * without the feature; on, a same-seed run is byte-identical to
+     * its repeat at any --jobs.
      */
     bool walk_coalescing = false;
-
-    /**
-     * Host worker threads the simulation shards across (the timing
-     * core stays on one coordinator thread; the extra threads fill the
-     * per-core lookahead rings during epoch rendezvous windows — see
-     * sim/epoch.hh). Clamped to the simulated core count at run time.
-     * Any value produces bit-identical metrics, goldens, traces, and
-     * timeseries: the sharding is wall-clock-only by construction.
-     */
-    int sim_threads = 1;
 
     /**
      * Fault injection (off by default). When any site is armed the

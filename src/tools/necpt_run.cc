@@ -76,9 +76,6 @@ usage(const char *prog)
         "  --coalesce          walk-MSHR same-page coalescing: misses\n"
         "                      for a page whose walk is in flight park\n"
         "                      on it instead of walking (needs --mlp>1)\n"
-        "  --sim-threads N     host threads the simulation shards\n"
-        "                      across (default 1; results are\n"
-        "                      bit-identical for any N)\n"
         "  --seed N            simulation seed\n"
         "  --churn SPEC        arm translation churn + shootdowns:\n"
         "                      migrate:PERIOD[:PAGES], balloon:...,\n"
@@ -141,8 +138,6 @@ run(int argc, char **argv)
         else if (arg == "--mlp")
             params.max_outstanding_walks = std::stoi(value());
         else if (arg == "--coalesce") params.walk_coalescing = true;
-        else if (arg == "--sim-threads")
-            params.sim_threads = std::stoi(value());
         else if (arg == "--seed") params.seed = std::stoull(value());
         else if (arg == "--churn")
             params.churn = parseChurnSpec(value());
