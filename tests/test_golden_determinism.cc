@@ -432,6 +432,29 @@ TEST(GoldenDeterminism, FlatNestedLayoutMatchesGolden)
     checkLayoutGolden("flat_nested", ConfigId::FlatNested);
 }
 
+// Churn on the non-ECPT hosts and on a native machine: migration,
+// ballooning and write-protection reach the host peek, guest unmap and
+// host unmap paths of each organization during the timed phase.
+const char *const layout_churn = "migrate:3000:4,balloon:9000:16,"
+                                 "protect:5000:4";
+
+TEST(GoldenDeterminism, NestedHptChurnLayoutMatchesGolden)
+{
+    checkLayoutGolden("nested_hpt_churn", ConfigId::NestedHpt, "",
+                      layout_churn);
+}
+
+TEST(GoldenDeterminism, FlatNestedThpChurnLayoutMatchesGolden)
+{
+    checkLayoutGolden("flat_nested_thp_churn", ConfigId::FlatNestedThp, "",
+                      layout_churn);
+}
+
+TEST(GoldenDeterminism, NativeEcptChurnLayoutMatchesGolden)
+{
+    checkLayoutGolden("ecpt_churn", ConfigId::Ecpt, "", layout_churn);
+}
+
 // Injected kick exhaustion and resize windows draw from the fault
 // plan's streams once per placement / insert: a fault-in path that
 // places or inserts a different number of times shifts every later
