@@ -180,10 +180,9 @@ MemoryHierarchy::issueBatch(AddrSpan addrs, Cycles now, int core,
 
         MemBreakdown line_bd;
         const AccessResult r =
-            access(lines[i], issue, Requester::Mmu, core,
-                   attr_enabled ? &line_bd : nullptr);
+            access(lines[i], issue, Requester::Mmu, core, &line_bd);
         const Cycles done = issue + r.latency;
-        if (attr_enabled && done > finish) {
+        if (done > finish) {
             // This line now defines the batch's completion cycle, so
             // its decomposition — plus whatever it waited before its
             // access began — becomes the batch's. (Strict > matches

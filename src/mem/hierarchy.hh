@@ -86,8 +86,8 @@ struct BatchResult
     int requests = 0;         //!< batch size
     int l2_misses = 0;        //!< members that missed in L2
     int l3_misses = 0;        //!< members that went to DRAM
-    /** Critical-line decomposition of @ref latency (attribution on
-     *  the issuing hierarchy only; zero otherwise). */
+    /** Critical-line decomposition of @ref latency (cycle
+     *  attribution; zero for an empty batch). */
     MemBreakdown bd;
 };
 
@@ -215,12 +215,6 @@ class MemoryHierarchy
     int numCores() const { return static_cast<int>(l1s.size()); }
     const MemHierarchyConfig &config() const { return cfg; }
 
-    /** Toggle batch-latency decomposition (BatchResult::bd). On by
-     *  default; disabling skips the per-line bookkeeping entirely so
-     *  the issue path runs exactly as before attribution existed. */
-    void setAttribution(bool on) { attr_enabled = on; }
-    bool attributionEnabled() const { return attr_enabled; }
-
     /** Arm (or disarm, with nullptr) injected latency spikes —
      *  modeling refresh storms, row conflicts, and contention bursts
      *  the average-latency DRAM model smooths over. */
@@ -261,7 +255,6 @@ class MemoryHierarchy
 
     MemHierarchyConfig cfg;
     CompletionSink completion_sink;
-    bool attr_enabled = true;
     FaultPlan *fault_plan = nullptr;
     TraceBuffer *tracer_ = nullptr;
     Cycles injected_spikes = 0;

@@ -29,14 +29,13 @@ NestedSystem::NestedSystem(const SystemConfig &config)
       case PtKind::Radix:
         // Radix nodes come from the general page allocator, scattered
         // among data frames — as real kernels allocate them.
-        guest_radix = std::make_unique<RadixPageTable>(
-            *guest_node_alloc, cfg.radix_levels);
+        guest_pt = std::make_unique<RadixPageTable>(*guest_node_alloc,
+                                                    cfg.radix_levels);
         break;
       case PtKind::Ecpt: {
         EcptConfig ecfg = cfg.guest_ecpt;
         ecfg.has_pte_cwt = false; // the guest never keeps a PTE CWT
-        guest_ecpt =
-            std::make_unique<EcptPageTable>(*guest_pt_alloc, ecfg);
+        guest_pt = std::make_unique<EcptPageTable>(*guest_pt_alloc, ecfg);
         break;
       }
       case PtKind::Flat:
@@ -47,8 +46,8 @@ NestedSystem::NestedSystem(const SystemConfig &config)
         std::uint64_t slots = 2;
         while (slots < (cfg.guest_phys_bytes >> 12))
             slots <<= 1;
-        guest_hpt = std::make_unique<HashedPageTable>(*guest_pt_alloc,
-                                                      slots, 0x6857);
+        guest_pt = std::make_unique<HashedPageTable>(*guest_pt_alloc,
+                                                     slots, 0x6857);
         break;
       }
     }
@@ -58,23 +57,23 @@ NestedSystem::NestedSystem(const SystemConfig &config)
             *host_pool, host_pt_registry);
         switch (cfg.host_kind) {
           case PtKind::Radix:
-            host_radix = std::make_unique<RadixPageTable>(
-                *host_node_alloc, cfg.radix_levels);
+            host_pt = std::make_unique<RadixPageTable>(*host_node_alloc,
+                                                       cfg.radix_levels);
             break;
           case PtKind::Ecpt:
-            host_ecpt =
+            host_pt =
                 std::make_unique<EcptPageTable>(*host_pool, cfg.host_ecpt);
             break;
           case PtKind::Flat:
-            host_flat = std::make_unique<FlatPageTable>(
-                *host_pool, cfg.guest_phys_bytes);
+            host_pt = std::make_unique<FlatPageTable>(*host_pool,
+                                                      cfg.guest_phys_bytes);
             break;
           case PtKind::Hpt: {
             std::uint64_t slots = 2;
             while (slots < (cfg.guest_phys_bytes >> 12) * 2)
                 slots <<= 1;
-            host_hpt = std::make_unique<HashedPageTable>(*host_pool,
-                                                         slots, 0x7857);
+            host_pt = std::make_unique<HashedPageTable>(*host_pool, slots,
+                                                        0x7857);
             break;
           }
         }
@@ -87,20 +86,20 @@ NestedSystem::NestedSystem(const SystemConfig &config)
         host_pool->setFaultPlan(cfg.fault_plan);
         if (guest_pool)
             guest_pool->setFaultPlan(cfg.fault_plan);
-        if (guest_ecpt)
-            guest_ecpt->setFaultPlan(cfg.fault_plan);
-        if (host_ecpt)
-            host_ecpt->setFaultPlan(cfg.fault_plan);
+        if (EcptPageTable *e = guestEcpt())
+            e->setFaultPlan(cfg.fault_plan);
+        if (EcptPageTable *e = hostEcpt())
+            e->setFaultPlan(cfg.fault_plan);
     }
 }
 
 void
 NestedSystem::auditInvariants() const
 {
-    if (guest_ecpt)
-        guest_ecpt->auditCwtConsistency("guest");
-    if (host_ecpt)
-        host_ecpt->auditCwtConsistency("host");
+    if (const EcptPageTable *e = guestEcpt())
+        e->auditCwtConsistency("guest");
+    if (const EcptPageTable *e = hostEcpt())
+        e->auditCwtConsistency("host");
     for (const PhysMemPool *pool : {host_pool.get(), guest_pool.get()}) {
         if (pool && pool->usedBytes() > pool->capacityBytes())
             throw InvariantViolation(strfmt(
@@ -158,32 +157,14 @@ void
 NestedSystem::guestMap(Addr gva, Addr gpa, PageSize size)
 {
     ++mutation_stamp;
-    if (guest_radix) {
-        guest_radix->map(gva, gpa, size);
-    } else if (guest_hpt) {
-        NECPT_ASSERT(size == PageSize::Page4K); // HPT limitation
-        const bool ok = guest_hpt->map(gva, gpa);
-        NECPT_ASSERT(ok);
-    } else {
-        guest_ecpt->map(gva, gpa, size);
-    }
+    guest_pt->map(gva, gpa, size);
 }
 
 void
 NestedSystem::hostMap(Addr gpa, Addr hpa, PageSize size)
 {
     ++mutation_stamp;
-    if (host_radix) {
-        host_radix->map(gpa, hpa, size);
-    } else if (host_ecpt) {
-        host_ecpt->map(gpa, hpa, size);
-    } else if (host_flat) {
-        host_flat->map(gpa, hpa, size);
-    } else if (host_hpt) {
-        NECPT_ASSERT(size == PageSize::Page4K); // HPT limitation
-        const bool ok = host_hpt->map(gpa, hpa);
-        NECPT_ASSERT(ok);
-    }
+    host_pt->map(gpa, hpa, size);
 }
 
 Translation
@@ -283,44 +264,14 @@ void
 NestedSystem::guestUnmap(Addr page, PageSize size)
 {
     ++mutation_stamp;
-    if (guest_radix) {
-        guest_radix->unmap(page, size);
-    } else if (guest_hpt) {
-        NECPT_ASSERT(size == PageSize::Page4K);
-        guest_hpt->unmap(page);
-    } else {
-        guest_ecpt->unmap(page, size);
-    }
+    guest_pt->unmap(page, size);
 }
 
 void
 NestedSystem::hostUnmap(Addr page, PageSize size)
 {
     ++mutation_stamp;
-    if (host_radix) {
-        host_radix->unmap(page, size);
-    } else if (host_ecpt) {
-        host_ecpt->unmap(page, size);
-    } else if (host_flat) {
-        host_flat->unmap(page, size);
-    } else if (host_hpt) {
-        NECPT_ASSERT(size == PageSize::Page4K);
-        host_hpt->unmap(page);
-    }
-}
-
-Translation
-NestedSystem::hostPeek(Addr gpa) const
-{
-    if (host_radix)
-        return host_radix->lookup(gpa);
-    if (host_ecpt)
-        return host_ecpt->lookup(gpa);
-    if (host_flat)
-        return host_flat->lookup(gpa);
-    if (host_hpt)
-        return host_hpt->lookup(gpa);
-    return {};
+    host_pt->unmap(page, size);
 }
 
 NestedSystem::UnmapInfo
@@ -350,7 +301,7 @@ NestedSystem::balloonOut(Addr gva)
     Addr gpa = info.old_guest.pa;
     const Addr end = gpa + pageBytes(info.old_guest.size);
     while (gpa < end) {
-        const Translation h = hostPeek(gpa);
+        const Translation h = host_pt->lookup(gpa);
         if (!h.valid) {
             gpa = pageBase(gpa, PageSize::Page4K)
                 + pageBytes(PageSize::Page4K);
@@ -384,7 +335,7 @@ NestedSystem::migratePage(Addr gva)
     // gPA stays, hPA changes, and every cached {gVA, hPA} pair goes
     // stale (the HATRIC motivation case).
     const Addr gpa = g.apply(gva);
-    const Translation h = hostPeek(gpa);
+    const Translation h = host_pt->lookup(gpa);
     if (!h.valid)
         return false;
     const Addr hpage = pageBase(gpa, h.size);
@@ -458,12 +409,7 @@ NestedSystem::writeProtectPage(Addr gva)
     // Residency is untouched (the mapping stays valid), but the PTE
     // flag RMW is still a table mutation.
     ++mutation_stamp;
-    if (guest_ecpt)
-        return guest_ecpt->writeProtect(pageBase(gva, g.size), g.size);
-    // Radix/HPT organizations store no flag word in this model: the
-    // downgrade is the invalidation itself (the caller shoots the
-    // cached translation down).
-    return true;
+    return guest_pt->writeProtect(pageBase(gva, g.size), g.size);
 }
 
 Translation
@@ -479,22 +425,13 @@ NestedSystem::faultIn(Addr gva, bool &faulted)
         g = guestFaultIn(gva, *vma);
         // HPT lookups are counted (avgProbes), and that statistic
         // includes one lookup of each fresh mapping.
-        if (guest_hpt)
-            guest_hpt->lookup(gva);
+        if (HashedPageTable *hpt = guestHpt())
+            hpt->lookup(gva);
         faulted = true;
     }
     if (cfg.virtualized) {
         const Addr gpa = g.apply(gva);
-        Translation h;
-        if (host_radix)
-            h = host_radix->lookup(gpa);
-        else if (host_ecpt)
-            h = host_ecpt->lookup(gpa);
-        else if (host_flat)
-            h = host_flat->lookup(gpa);
-        else
-            h = host_hpt->lookup(gpa);
-        if (!h.valid) {
+        if (!host_pt->lookup(gpa).valid) {
             hostFaultIn(gpa);
             faulted = true;
         }
@@ -522,8 +459,8 @@ NestedSystem::prefaultAll()
             const Translation g = faultIn(va, faulted);
             // Counted HPT probe statistics include prefault's stride
             // lookup (see faultIn).
-            if (guest_hpt)
-                guest_hpt->lookup(va);
+            if (HashedPageTable *hpt = guestHpt())
+                hpt->lookup(va);
             va += pageBytes(g.size);
         }
     }
@@ -536,10 +473,10 @@ NestedSystem::prefaultAll()
 void
 NestedSystem::quiesce()
 {
-    if (guest_ecpt)
-        guest_ecpt->quiesce();
-    if (host_ecpt)
-        host_ecpt->quiesce();
+    if (EcptPageTable *e = guestEcpt())
+        e->quiesce();
+    if (EcptPageTable *e = hostEcpt())
+        e->quiesce();
     // Completing in-flight elastic resizes retires the old table
     // generations, which changes the probe-address sets hardware would
     // fetch — a layout mutation even though no mapping changed.
@@ -549,11 +486,7 @@ NestedSystem::quiesce()
 Translation
 NestedSystem::guestTranslate(Addr gva) const
 {
-    if (guest_radix)
-        return guest_radix->lookup(gva);
-    if (guest_hpt)
-        return guest_hpt->lookup(gva);
-    return guest_ecpt->lookup(gva);
+    return guest_pt->lookup(gva);
 }
 
 Translation
@@ -563,19 +496,10 @@ NestedSystem::hostTranslate(Addr gpa)
         // Identity: gPA is final.
         return {pageBase(gpa, PageSize::Page4K), PageSize::Page4K, true};
     }
-    auto host_lookup = [this](Addr addr) -> Translation {
-        if (host_radix)
-            return host_radix->lookup(addr);
-        if (host_ecpt)
-            return host_ecpt->lookup(addr);
-        if (host_flat)
-            return host_flat->lookup(addr);
-        return host_hpt->lookup(addr);
-    };
-    Translation h = host_lookup(gpa);
+    Translation h = host_pt->lookup(gpa);
     if (!h.valid) {
         hostFaultIn(gpa);
-        h = host_lookup(gpa);
+        h = host_pt->lookup(gpa);
         NECPT_ASSERT(h.valid);
     }
     return h;
@@ -584,29 +508,18 @@ NestedSystem::hostTranslate(Addr gpa)
 Translation
 NestedSystem::peekFullTranslate(Addr gva) const
 {
-    // Strictly side-effect free (see the header contract): guest
-    // lookups through the HPT use the uncounted peek, the host side
-    // goes through hostPeek's peek chain, and nothing faults in. The
+    // Strictly side-effect free (see the header contract): both levels
+    // go through the uncounted peek and nothing faults in. The
     // composition mirrors fullTranslate() exactly, so a valid result
     // here is byte-identical to what fullTranslate() would produce
     // (which, with both lookups hitting, is itself mutation-free).
-    Translation g;
-    if (guest_radix)
-        g = guest_radix->lookup(gva);
-    else if (guest_hpt)
-        g = guest_hpt->peek(gva);
-    else
-        g = guest_ecpt->lookup(gva);
+    const Translation g = guest_pt->peek(gva);
     if (!g.valid)
         return {};
     if (!cfg.virtualized)
         return g;
     const Addr gpa = g.apply(gva);
-    Translation h;
-    if (host_hpt)
-        h = host_hpt->peek(gpa);
-    else
-        h = hostPeek(gpa);
+    const Translation h = host_pt->peek(gpa);
     if (!h.valid)
         return {};
     const PageSize eff = static_cast<int>(g.size) < static_cast<int>(h.size)
@@ -636,55 +549,25 @@ NestedSystem::fullTranslate(Addr gva)
 std::uint64_t
 NestedSystem::guestStructureBytes() const
 {
-    if (guest_radix)
-        return guest_radix->structureBytes();
-    if (guest_hpt)
-        return guest_hpt->structureBytes();
-    return guest_ecpt->structureBytes();
+    return guest_pt->structureBytes();
 }
 
 std::uint64_t
 NestedSystem::hostStructureBytes() const
 {
-    if (host_radix)
-        return host_radix->structureBytes();
-    if (host_ecpt)
-        return host_ecpt->structureBytes();
-    if (host_flat)
-        return host_flat->structureBytes();
-    if (host_hpt)
-        return host_hpt->structureBytes();
-    return 0;
+    return host_pt ? host_pt->structureBytes() : 0;
 }
 
 std::uint64_t
 NestedSystem::guestPteBytes() const
 {
-    if (guest_radix)
-        return guest_radix->mappingCount() * pte_bytes;
-    if (guest_hpt)
-        return guest_hpt->occupancy() * pte_bytes;
-    std::uint64_t count = 0;
-    for (auto size : all_page_sizes)
-        count += guest_ecpt->mappingCount(size);
-    return count * pte_bytes;
+    return guest_pt->mappingCount() * pte_bytes;
 }
 
 std::uint64_t
 NestedSystem::hostPteBytes() const
 {
-    if (host_radix)
-        return host_radix->mappingCount() * pte_bytes;
-    if (host_flat)
-        return host_flat->mappingCount() * pte_bytes;
-    if (host_hpt)
-        return host_hpt->occupancy() * pte_bytes;
-    if (!host_ecpt)
-        return 0;
-    std::uint64_t count = 0;
-    for (auto size : all_page_sizes)
-        count += host_ecpt->mappingCount(size);
-    return count * pte_bytes;
+    return host_pt ? host_pt->mappingCount() * pte_bytes : 0;
 }
 
 } // namespace necpt

@@ -6,15 +6,20 @@
  *
  * A NestedSystem owns:
  *  - a guest-physical pool and a host-physical pool,
- *  - the guest page table (radix or ECPT) built in guest-physical space,
- *  - the host page table (radix, ECPT, or flat) in host-physical space,
+ *  - the guest page table (radix, ECPT or HPT) built in guest-physical
+ *    space,
+ *  - the host page table (radix, ECPT, flat or HPT) in host-physical
+ *    space,
  *  - the registry of guest-physical ranges holding page tables (which
  *    the hypervisor always backs with 4KB pages — the Section 4.3
  *    contract that lets Step 1 probe only the PTE-hECPT).
  *
- * In native (non-virtualized) configurations the guest page table is
- * built directly in host-physical space and guest translations are
- * final.
+ * Both tables are held through the PageTable interface, so faulting,
+ * churn and accounting run one path for every organization; walkers
+ * reach the organization-specific structure through the typed
+ * accessors. In native (non-virtualized) configurations there is no
+ * host table: the guest page table is built directly in host-physical
+ * space and guest translations are final.
  */
 
 #ifndef NECPT_OS_SYSTEM_HH
@@ -35,15 +40,6 @@
 
 namespace necpt
 {
-
-/** Page-table organization selector. */
-enum class PtKind : std::uint8_t
-{
-    Radix,
-    Ecpt,
-    Flat, //!< host-side only (flat nested baseline, Section 9.6)
-    Hpt,  //!< classic single hashed page table (Section 2.2; 4KB only)
-};
 
 /** Full system configuration. */
 struct SystemConfig
@@ -233,15 +229,20 @@ class NestedSystem
     /// @name Structure access for walkers
     /// @{
     bool virtualized() const { return cfg.virtualized; }
-    RadixPageTable *guestRadix() { return guest_radix.get(); }
-    EcptPageTable *guestEcpt() { return guest_ecpt.get(); }
-    RadixPageTable *hostRadix() { return host_radix.get(); }
-    EcptPageTable *hostEcpt() { return host_ecpt.get(); }
-    FlatPageTable *hostFlat() { return host_flat.get(); }
-    HashedPageTable *guestHpt() { return guest_hpt.get(); }
-    HashedPageTable *hostHpt() { return host_hpt.get(); }
-    const EcptPageTable *guestEcpt() const { return guest_ecpt.get(); }
-    const EcptPageTable *hostEcpt() const { return host_ecpt.get(); }
+    /// Each table accessor returns the table when it is of that
+    /// organization and null otherwise (every host one when native).
+    RadixPageTable *guestRadix() { return guestAs<RadixPageTable>(); }
+    EcptPageTable *guestEcpt() { return guestAs<EcptPageTable>(); }
+    RadixPageTable *hostRadix() { return hostAs<RadixPageTable>(); }
+    EcptPageTable *hostEcpt() { return hostAs<EcptPageTable>(); }
+    FlatPageTable *hostFlat() { return hostAs<FlatPageTable>(); }
+    HashedPageTable *guestHpt() { return guestAs<HashedPageTable>(); }
+    HashedPageTable *hostHpt() { return hostAs<HashedPageTable>(); }
+    const EcptPageTable *guestEcpt() const
+    {
+        return guestAs<EcptPageTable>();
+    }
+    const EcptPageTable *hostEcpt() const { return hostAs<EcptPageTable>(); }
 
     /** Is @p gpa inside a guest page-table structure? (Section 4.3) */
     bool isPtRegion(Addr gpa) const { return pt_registry.contains(gpa); }
@@ -288,6 +289,23 @@ class NestedSystem
 
     const Vma *vmaOf(Addr gva) const;
 
+    /** The guest/host table as a @p T when it is of that organization
+     *  (the configured kind names its dynamic type), else null. */
+    template <class T>
+    T *
+    guestAs() const
+    {
+        return cfg.guest_kind == T::kind ? static_cast<T *>(guest_pt.get())
+                                         : nullptr;
+    }
+    template <class T>
+    T *
+    hostAs() const
+    {
+        return cfg.host_kind == T::kind ? static_cast<T *>(host_pt.get())
+                                        : nullptr;
+    }
+
     /** Deterministic per-2MB-block THP feasibility draw. */
     bool blockCovered(std::uint64_t block, double coverage,
                       std::uint64_t salt) const;
@@ -322,9 +340,6 @@ class NestedSystem
     /** Remove the host mapping of @p page (base-aligned) at @p size. */
     void hostUnmap(Addr page, PageSize size);
 
-    /** Host mapping of @p gpa without faulting it in. */
-    Translation hostPeek(Addr gpa) const;
-
     /** Unmap the guest page containing @p gva and free its frame. */
     UnmapInfo guestUnmapPage(Addr gva);
 
@@ -338,13 +353,8 @@ class NestedSystem
     std::unique_ptr<ScatteredPtAllocator> guest_node_alloc;
     std::unique_ptr<ScatteredPtAllocator> host_node_alloc;
 
-    std::unique_ptr<RadixPageTable> guest_radix;
-    std::unique_ptr<EcptPageTable> guest_ecpt;
-    std::unique_ptr<HashedPageTable> guest_hpt;
-    std::unique_ptr<RadixPageTable> host_radix;
-    std::unique_ptr<EcptPageTable> host_ecpt;
-    std::unique_ptr<FlatPageTable> host_flat;
-    std::unique_ptr<HashedPageTable> host_hpt;
+    std::unique_ptr<PageTable> guest_pt;
+    std::unique_ptr<PageTable> host_pt; //!< null when native
 
     std::vector<Vma> vmas;
     Addr mmap_cursor;

@@ -23,6 +23,7 @@
 #include "common/metrics.hh"
 #include "pt/cuckoo.hh"
 #include "pt/cwt.hh"
+#include "pt/page_table.hh"
 #include "pt/pte.hh"
 
 namespace necpt
@@ -75,9 +76,11 @@ struct EcptConfig
 /**
  * Elastic cuckoo page table + cuckoo walk tables for one address space.
  */
-class EcptPageTable
+class EcptPageTable final : public PageTable
 {
   public:
+    static constexpr PtKind kind = PtKind::Ecpt;
+
     EcptPageTable(RegionAllocator &allocator, const EcptConfig &config);
 
     // The cuckoo tables hold non-owning references to the per-size move
@@ -86,17 +89,17 @@ class EcptPageTable
     EcptPageTable &operator=(const EcptPageTable &) = delete;
 
     /** Install va -> pa for a page of @p size, maintaining the CWTs. */
-    void map(Addr va, Addr pa, PageSize size);
+    void map(Addr va, Addr pa, PageSize size) override;
 
     /** Remove the mapping of the page containing @p va. */
-    void unmap(Addr va, PageSize size);
+    void unmap(Addr va, PageSize size) override;
 
     /** Permission downgrade: clear the writable bit of the PTE mapping
      *  @p va in place. @return true when such a mapping existed. */
-    bool writeProtect(Addr va, PageSize size);
+    bool writeProtect(Addr va, PageSize size) override;
 
     /** Functional lookup across all page sizes. */
-    Translation lookup(Addr va) const;
+    Translation lookup(Addr va) const override;
 
     /** Lookup restricted to one page size; also reports the way. */
     struct SizedResult
@@ -192,7 +195,7 @@ class EcptPageTable
     }
 
     /** Bytes of all tables + CWTs (Section 9.5 accounting). */
-    std::uint64_t structureBytes() const;
+    std::uint64_t structureBytes() const override;
 
     /** Bytes of CWTs alone. */
     std::uint64_t cwtBytes() const;
@@ -201,6 +204,15 @@ class EcptPageTable
     std::uint64_t mappingCount(PageSize size) const
     {
         return mapped[static_cast<int>(size)];
+    }
+
+    std::uint64_t
+    mappingCount() const override
+    {
+        std::uint64_t count = 0;
+        for (const std::uint64_t n : mapped)
+            count += n;
+        return count;
     }
 
     const EcptConfig &config() const { return cfg; }

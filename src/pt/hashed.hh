@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/hash.hh"
+#include "pt/page_table.hh"
 #include "pt/pte.hh"
 
 namespace necpt
@@ -24,9 +25,11 @@ namespace necpt
 /**
  * Open-addressing (linear probing) hashed page table.
  */
-class HashedPageTable
+class HashedPageTable final : public PageTable
 {
   public:
+    static constexpr PtKind kind = PtKind::Hpt;
+
     /**
      * @param allocator backing space for the slot array
      * @param slots number of slots (power of two)
@@ -38,16 +41,25 @@ class HashedPageTable
     /** Insert va -> pa (4KB pages only). Grows never; may fail if full. */
     bool map(Addr va, Addr pa);
 
-    /** Remove the mapping for @p va (tombstone). */
-    void unmap(Addr va);
+    /** PageTable insert: @p size must be 4KB and the table not full. */
+    void map(Addr va, Addr pa, PageSize size) override;
+
+    /** Remove the mapping for @p va (tombstone); @p size must be 4KB. */
+    void unmap(Addr va, PageSize size) override;
 
     /**
      * Functional lookup.
      * @param probe_addrs when non-null, receives the physical address of
      *        every slot touched while walking the collision chain.
      */
-    Translation lookup(Addr va,
-                       std::vector<Addr> *probe_addrs = nullptr) const;
+    Translation lookup(Addr va, std::vector<Addr> *probe_addrs) const;
+
+    /** Functional lookup; counts toward avgProbes(). */
+    Translation
+    lookup(Addr va) const override
+    {
+        return lookup(va, nullptr);
+    }
 
     /**
      * Statistics-free lookup: same chain walk, but does not count
@@ -55,13 +67,17 @@ class HashedPageTable
      * dumping a page-table layout cannot perturb the probe statistics
      * it reports.
      */
-    Translation peek(Addr va) const;
+    Translation peek(Addr va) const override;
 
     /** Mean probes per successful lookup observed so far. */
     double avgProbes() const;
 
-    std::uint64_t structureBytes() const { return num_slots * slot_bytes; }
-    std::uint64_t occupancy() const { return used; }
+    std::uint64_t
+    structureBytes() const override
+    {
+        return num_slots * slot_bytes;
+    }
+    std::uint64_t mappingCount() const override { return used; }
     double loadFactor() const
     {
         return static_cast<double>(used) / static_cast<double>(num_slots);

@@ -105,13 +105,6 @@ Simulator::buildMachine(std::uint64_t footprint, const std::string &app)
         walkers.push_back(makeWalker(core));
     }
 
-    // Attribution is on by default; disabling turns every ledger
-    // charge into an untaken branch in both the walkers and the
-    // memory hierarchy's breakdown plumbing.
-    mem->setAttribution(params.attribution);
-    for (auto &w : walkers)
-        w->setAttribution(params.attribution);
-
     if (params.tracer) {
         for (auto &w : walkers)
             w->setTracer(params.tracer);
@@ -876,49 +869,50 @@ Simulator::fillResult(SimResult &result)
         result.step_avg[s] = ws.avgStepAccesses(s);
 
     // Nested-ECPT cache introspection (Section 9.4, Figure 12); core 0
-    // is representative (cores run the same workload).
+    // is representative (cores run the same workload). Other designs
+    // report -1 rates and 0 accesses.
+    auto &m = result.metrics;
+    double gcwc_pud = -1, gcwc_pmd = -1, hcwc_pud = -1, hcwc_pmd = -1;
+    double hcwc_pte_step1 = -1, adaptive_pte = -1, adaptive_pmd = -1;
+    std::uint64_t hcwc_pte_step3_accesses = 0;
     if (auto *necpt_walker =
             dynamic_cast<NestedEcptWalker *>(walkers[0].get())) {
+        const auto &gcwc = necpt_walker->guestCwc();
+        const auto &hcwc3 = necpt_walker->hostCwcStep3();
         result.stc_hit_rate =
             necpt_walker->shortcutCache().stats().rate();
-        result.gcwc_pud_hit =
-            necpt_walker->guestCwc().stats(PageSize::Page1G).rate();
-        result.gcwc_pmd_hit =
-            necpt_walker->guestCwc().stats(PageSize::Page2M).rate();
-        result.hcwc_pud_hit =
-            necpt_walker->hostCwcStep3().stats(PageSize::Page1G).rate();
-        result.hcwc_pmd_hit =
-            necpt_walker->hostCwcStep3().stats(PageSize::Page2M).rate();
-        result.hcwc_pte_step1_hit =
+        gcwc_pud = gcwc.stats(PageSize::Page1G).rate();
+        gcwc_pmd = gcwc.stats(PageSize::Page2M).rate();
+        hcwc_pud = hcwc3.stats(PageSize::Page1G).rate();
+        hcwc_pmd = hcwc3.stats(PageSize::Page2M).rate();
+        hcwc_pte_step1 =
             necpt_walker->hostCwcStep1().stats(PageSize::Page4K).rate();
-        result.hcwc_pte_step3_hit =
-            necpt_walker->hostCwcStep3().stats(PageSize::Page4K).rate();
-        result.hcwc_pte_step3_accesses =
-            necpt_walker->hostCwcStep3()
-                .stats(PageSize::Page4K)
-                .accesses();
+        result.hcwc_pte_step3_hit = hcwc3.stats(PageSize::Page4K).rate();
+        hcwc_pte_step3_accesses = hcwc3.stats(PageSize::Page4K).accesses();
+        // Windowed means; a run too short for one window falls back to
+        // the cumulative rate.
+        auto mean_or = [](const auto &hist, double fallback) {
+            if (hist.empty())
+                return fallback;
+            double sum = 0;
+            for (double r : hist)
+                sum += r;
+            return sum / static_cast<double>(hist.size());
+        };
         const auto &ctl = necpt_walker->adaptiveController();
-        const auto &pte_hist = ctl.pteMonitor().history();
-        const auto &pmd_hist = ctl.pmdMonitor().history();
-        if (!pte_hist.empty()) {
-            double sum = 0;
-            for (double r : pte_hist)
-                sum += r;
-            result.adaptive_pte_rate =
-                sum / static_cast<double>(pte_hist.size());
-        } else {
-            result.adaptive_pte_rate = result.hcwc_pte_step3_hit;
-        }
-        if (!pmd_hist.empty()) {
-            double sum = 0;
-            for (double r : pmd_hist)
-                sum += r;
-            result.adaptive_pmd_rate =
-                sum / static_cast<double>(pmd_hist.size());
-        } else {
-            result.adaptive_pmd_rate = result.hcwc_pmd_hit;
-        }
+        adaptive_pte = mean_or(ctl.pteMonitor().history(),
+                               result.hcwc_pte_step3_hit);
+        adaptive_pmd = mean_or(ctl.pmdMonitor().history(), hcwc_pmd);
     }
+    m["cwc.gcwc.pud.hitrate"] = gcwc_pud;
+    m["cwc.gcwc.pmd.hitrate"] = gcwc_pmd;
+    m["cwc.hcwc_step3.pud.hitrate"] = hcwc_pud;
+    m["cwc.hcwc_step3.pmd.hitrate"] = hcwc_pmd;
+    m["cwc.hcwc_step1.pte.hitrate"] = hcwc_pte_step1;
+    m["cwc.hcwc_step3.pte.accesses"] =
+        static_cast<double>(hcwc_pte_step3_accesses);
+    m["adaptive.pte.rate"] = adaptive_pte;
+    m["adaptive.pmd.rate"] = adaptive_pmd;
 
     result.guest_structure_bytes = sys->guestStructureBytes();
     result.host_structure_bytes = sys->hostStructureBytes();
@@ -928,7 +922,6 @@ Simulator::fillResult(SimResult &result)
     // Re-publish the scalars under the unified dotted names (the
     // expressions above are the single source; the map just aliases
     // them, so bench output stays byte-identical either way).
-    auto &m = result.metrics;
     for (int k = 0; k < 4; ++k) {
         const std::string kn = walkKindName(static_cast<WalkKind>(k));
         m["walk.kind.guest." + kn + ".frac"] = result.guest_kind_frac[k];
@@ -938,20 +931,11 @@ Simulator::fillResult(SimResult &result)
         m["walk.step" + std::to_string(s + 1) + ".avg_probes"] =
             result.step_avg[s];
     m["stc.hitrate"] = result.stc_hit_rate;
-    m["cwc.gcwc.pud.hitrate"] = result.gcwc_pud_hit;
-    m["cwc.gcwc.pmd.hitrate"] = result.gcwc_pmd_hit;
-    m["cwc.hcwc_step3.pud.hitrate"] = result.hcwc_pud_hit;
-    m["cwc.hcwc_step3.pmd.hitrate"] = result.hcwc_pmd_hit;
-    m["cwc.hcwc_step1.pte.hitrate"] = result.hcwc_pte_step1_hit;
     m["cwc.hcwc_step3.pte.hitrate"] = result.hcwc_pte_step3_hit;
-    m["cwc.hcwc_step3.pte.accesses"] =
-        static_cast<double>(result.hcwc_pte_step3_accesses);
-    m["adaptive.pte.rate"] = result.adaptive_pte_rate;
-    m["adaptive.pmd.rate"] = result.adaptive_pmd_rate;
 
-    // Cycle attribution (summed across cores). With attribution
-    // enabled end-to-end, conservation makes attr.total.cycles equal
-    // mmu_busy_cycles exactly — Figure 10 reads it directly.
+    // Cycle attribution (summed across cores). Conservation makes
+    // attr.total.cycles equal mmu_busy_cycles exactly — Figure 10
+    // reads it directly.
     std::uint64_t attr_total = 0;
     for (int c = 0; c < num_attr_causes; ++c)
         attr_total += ws.attr_cycles[static_cast<std::size_t>(c)];

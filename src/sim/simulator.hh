@@ -131,15 +131,6 @@ struct SimParams
     TraceBuffer *tracer = nullptr;
 
     /**
-     * Per-walk cycle attribution (on by default). Every walk carries a
-     * CycleLedger binning its latency by cause; the bins roll into the
-     * attr.* counters/histograms and annotate trace spans. Disabling
-     * leaves the ledgers compiled in but makes every charge a dead
-     * branch — the hot path stays allocation-free either way.
-     */
-    bool attribution = true;
-
-    /**
      * Interval metrics sampler (null = off). Every interval() measured
      * cycles the Simulator snapshots the full registry scalar set into
      * the buffer from an end-of-cycle scheduler event, producing the
@@ -186,14 +177,10 @@ struct SimResult
     double host_kind_frac[4] = {0, 0, 0, 0};
     double step_avg[3] = {0, 0, 0};
 
-    /** Section 9.4 MMU-cache hit rates (nested ECPT only). */
+    /** Section 9.4 MMU-cache hit rates (nested ECPT only; the other
+     *  CWC and Figure-12 adaptive rates live in @ref metrics). */
     double stc_hit_rate = -1;
-    double gcwc_pud_hit = -1, gcwc_pmd_hit = -1;
-    double hcwc_pud_hit = -1, hcwc_pmd_hit = -1;
-    double hcwc_pte_step1_hit = -1, hcwc_pte_step3_hit = -1;
-    std::uint64_t hcwc_pte_step3_accesses = 0;
-    /** Figure 12 windowed rates. */
-    double adaptive_pte_rate = -1, adaptive_pmd_rate = -1;
+    double hcwc_pte_step3_hit = -1;
 
     /** Section 9.5 memory accounting. */
     std::uint64_t guest_structure_bytes = 0;

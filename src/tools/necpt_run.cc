@@ -98,8 +98,6 @@ usage(const char *prog)
         "  --critical-path[=K] record event dependencies and print the\n"
         "                      per-core critical-path report (top-K\n"
         "                      stalls, default 5)\n"
-        "  --no-attribution    disable per-walk cycle attribution\n"
-        "                      (attr.* counters stay zero)\n"
         "  --quiet             suppress warn/info log output\n",
         prog, prog);
 }
@@ -157,7 +155,6 @@ run(int argc, char **argv)
         else if (arg == "--critical-path") critical_path_k = 5;
         else if (arg.rfind("--critical-path=", 0) == 0)
             critical_path_k = std::stoi(arg.substr(16));
-        else if (arg == "--no-attribution") params.attribution = false;
         else if (arg == "--quiet") setLogLevel(LogLevel::Quiet);
         else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
@@ -290,7 +287,7 @@ run(int argc, char **argv)
         std::printf("  step accesses     %.1f / %.1f / %.1f\n",
                     result.step_avg[0], result.step_avg[1],
                     result.step_avg[2]);
-    if (params.attribution && result.walks) {
+    if (result.walks) {
         // Top-3 attribution causes: where walk cycles actually went.
         struct Share { double share = 0; const char *name = nullptr; };
         std::vector<Share> shares;

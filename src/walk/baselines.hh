@@ -69,15 +69,6 @@ class PomTlbWalker : public Walker
 
     const PomTlb &pomTlb() const { return pom; }
 
-    /** The fallback's walks are folded into ours; keep its ledger in
-     *  the same state so the fold conserves. */
-    void
-    setAttribution(bool on) override
-    {
-        Walker::setAttribution(on);
-        fallback.setAttribution(on);
-    }
-
     /** The shared POM-TLB is scrubbed by the coherence controller
      *  directly; only the fallback walker's private caches are ours. */
     std::size_t

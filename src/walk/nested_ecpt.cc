@@ -128,7 +128,7 @@ NestedEcptWalker::planStep1Host(Addr gpa, Cycles t)
         if (plan.way_mask[static_cast<int>(PageSize::Page4K)] == 0)
             plan.way_mask[static_cast<int>(PageSize::Page4K)] =
                 host.allWays();
-        plan.kind = classifyPlan(plan, host.config().ways);
+        plan.kind = classifyPlan(plan);
     }
     return plan;
 }
@@ -223,7 +223,6 @@ class NestedEcptWalker::Machine : public WalkMachine
     start()
     {
         tracing = w.traceBegin();
-        ledger.setEnabled(w.attributionEnabled());
         EcptPageTable &guest = *w.sys.guestEcpt();
         EcptPageTable &host = *w.sys.hostEcpt();
         const Addr gva = va();

@@ -43,7 +43,7 @@ consultLevel(const EcptPageTable &pt, CuckooWalkCache &cwc, Addr va,
 } // namespace
 
 WalkKind
-classifyPlan(const EcptProbePlan &plan, int ways)
+classifyPlan(const EcptProbePlan &plan)
 {
     int probes = 0;
     for (unsigned m : plan.way_mask)
@@ -55,7 +55,6 @@ classifyPlan(const EcptProbePlan &plan, int ways)
         return WalkKind::Size;
     if (tables == 2)
         return WalkKind::Partial;
-    (void)ways;
     return WalkKind::Complete;
 }
 
@@ -83,7 +82,7 @@ planEcptWalk(const EcptPageTable &pt, CuckooWalkCache &cwc, Addr va,
     if (pud_desc) {
         if (pud_desc->present) {
             plan.way_mask = {0, 0, 1u << pud_desc->way};
-            plan.kind = classifyPlan(plan, pt.config().ways);
+            plan.kind = classifyPlan(plan);
             return plan;
         }
         plan.way_mask[pud] = 0;
@@ -105,7 +104,7 @@ planEcptWalk(const EcptPageTable &pt, CuckooWalkCache &cwc, Addr va,
             if (pmd_desc->present) {
                 // Mapped by a 2MB page: nothing above or below.
                 plan.way_mask = {0, 1u << pmd_desc->way, 0};
-                plan.kind = classifyPlan(plan, pt.config().ways);
+                plan.kind = classifyPlan(plan);
                 return plan;
             }
             plan.way_mask[pmd] = 0;
@@ -127,7 +126,7 @@ planEcptWalk(const EcptPageTable &pt, CuckooWalkCache &cwc, Addr va,
             plan.way_mask[pte] = 1u << pte_desc->way;
     }
 
-    plan.kind = classifyPlan(plan, pt.config().ways);
+    plan.kind = classifyPlan(plan);
     return plan;
 }
 

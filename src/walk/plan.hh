@@ -61,7 +61,7 @@ EcptProbePlan planEcptWalk(const EcptPageTable &pt, CuckooWalkCache &cwc,
 /**
  * Classify a plan by how many probes/tables it needs.
  */
-WalkKind classifyPlan(const EcptProbePlan &plan, int ways);
+WalkKind classifyPlan(const EcptProbePlan &plan);
 
 /**
  * Refill the CWC levels that missed during planning from the software

@@ -100,8 +100,7 @@ struct WalkerStats
 
     /** Cycle attribution: total walk cycles per cause, and each
      *  cause's per-walk distribution ("attr.<cause>" registry names).
-     *  Conservation: the attr_cycles sum equals busy_cycles whenever
-     *  attribution was enabled for every recorded walk. */
+     *  Conservation: the attr_cycles sum equals busy_cycles. */
     std::array<std::uint64_t, num_attr_causes> attr_cycles{};
     std::vector<Histogram> attr_hist; //!< one {20,64} per cause
 
@@ -222,22 +221,6 @@ class Walker
      */
     int coreIndex() const { return core; }
 
-    /**
-     * Toggle per-walk cycle attribution (on by default). Disabling
-     * reduces every charge to one untaken branch — the hot path runs
-     * exactly as it did before attribution existed. The owner should
-     * keep the MemoryHierarchy's attribution flag in step so batch
-     * breakdowns exist when walks want to charge them.
-     */
-    virtual void
-    setAttribution(bool on)
-    {
-        attr_enabled_ = on;
-        ledger_.setEnabled(on);
-    }
-
-    bool attributionEnabled() const { return attr_enabled_; }
-
     /** The folded ledger of the most recently finished walk (valid
      *  after any finishWalk; composite walkers fold it into their own
      *  ledger to keep nested walks conserving). */
@@ -319,12 +302,9 @@ class Walker
         ++stats_.coalesced;
         stats_.busy_cycles += latency;
         stats_.walk_latency.sample(latency);
-        if (attr_enabled_) {
-            constexpr auto c =
-                static_cast<std::size_t>(AttrCause::Coalesce);
-            stats_.attr_cycles[c] += latency;
-            stats_.attr_hist[c].sample(latency);
-        }
+        constexpr auto c = static_cast<std::size_t>(AttrCause::Coalesce);
+        stats_.attr_cycles[c] += latency;
+        stats_.attr_hist[c].sample(latency);
     }
 
     /** Sample the waiters-per-primary distribution at entry close
@@ -347,8 +327,6 @@ class Walker
     seqAccess(Addr hpa, Cycles now)
     {
         ++stats_.mmu_requests;
-        if (!attr_enabled_)
-            return mem.access(hpa, now, Requester::Mmu, core).latency;
         MemBreakdown bd;
         const AccessResult r =
             mem.access(hpa, now, Requester::Mmu, core, &bd);
@@ -373,17 +351,6 @@ class Walker
     void charge(AttrCause cause, Cycles cycles)
     {
         ledger_.charge(cause, cycles);
-    }
-
-    /** A parallel batch of MMU accesses (one walk phase). */
-    BatchResult
-    batchAccess(AddrSpan addrs, Cycles now)
-    {
-        BatchResult r = mem.batchAccess(addrs, now, core);
-        stats_.mmu_requests.inc(static_cast<std::uint64_t>(r.requests));
-        if (attr_enabled_)
-            chargeMemBreakdown(ledger_, r.bd);
-        return r;
     }
 
     /** Background traffic (CWC/CWT refills): consumes bandwidth and
@@ -427,9 +394,9 @@ class Walker
     /**
      * Record a finished walk in the common statistics and fold its
      * cycle ledger (the walker's own, or @p walk_ledger for designs
-     * whose machines carry one each) into the attr.* aggregates. With
-     * attribution enabled end-to-end the fold asserts conservation:
-     * the ledger's bins must sum exactly to the walk's latency.
+     * whose machines carry one each) into the attr.* aggregates. The
+     * fold asserts conservation: the ledger's bins must sum exactly to
+     * the walk's latency.
      */
     void
     finishWalk(WalkResult &result, Cycles start, Cycles end,
@@ -442,14 +409,11 @@ class Walker
         stats_.busy_cycles += result.latency;
         stats_.walk_latency.sample(result.latency);
         CycleLedger &led = walk_ledger ? *walk_ledger : ledger_;
-        if (attr_enabled_) {
-            NECPT_ASSERT(!mem.attributionEnabled()
-                         || led.total() == result.latency);
-            for (int c = 0; c < num_attr_causes; ++c) {
-                const auto cycles = led.bins()[static_cast<size_t>(c)];
-                stats_.attr_cycles[static_cast<size_t>(c)] += cycles;
-                stats_.attr_hist[static_cast<size_t>(c)].sample(cycles);
-            }
+        NECPT_ASSERT(led.total() == result.latency);
+        for (int c = 0; c < num_attr_causes; ++c) {
+            const auto cycles = led.bins()[static_cast<size_t>(c)];
+            stats_.attr_cycles[static_cast<size_t>(c)] += cycles;
+            stats_.attr_hist[static_cast<size_t>(c)].sample(cycles);
         }
         last_ledger_ = led;
         led.reset();
@@ -480,7 +444,6 @@ class Walker
     /** Snapshot of the last finished walk's bins (composite designs
      *  fold a nested walker's lastWalkLedger into their own). */
     CycleLedger last_ledger_;
-    bool attr_enabled_ = true;
 
   private:
     friend class ImmediateWalkMachine;

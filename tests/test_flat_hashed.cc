@@ -93,7 +93,7 @@ TEST(Hashed, TombstoneKeepsChainsIntact)
     HashedPageTable hpt(alloc, 64);
     for (Addr va = 0; va < 20 * 4096; va += 4096)
         hpt.map(va, va);
-    hpt.unmap(0);
+    hpt.unmap(0, PageSize::Page4K);
     // Everything else still resolves despite the tombstone.
     for (Addr va = 4096; va < 20 * 4096; va += 4096)
         EXPECT_TRUE(hpt.lookup(va).valid) << va;
@@ -117,7 +117,7 @@ TEST(Hashed, Remap)
     hpt.map(0x1000, 0xA000);
     hpt.map(0x1000, 0xB000);
     EXPECT_EQ(hpt.lookup(0x1000).pa, 0xB000u);
-    EXPECT_EQ(hpt.occupancy(), 1u);
+    EXPECT_EQ(hpt.mappingCount(), 1u);
 }
 
 } // namespace necpt

@@ -227,40 +227,4 @@ TEST(HotPathAlloc, NestedEcptWalkSteadyStateIsAllocationFree)
     EXPECT_EQ(allocs, 0u);
 }
 
-TEST(HotPathAlloc, WalkWithAttributionDisabledIsAllocationFree)
-{
-    // The attribution ledgers are compiled into every walk either way;
-    // disabling must leave each charge a dead branch with no heap
-    // traffic — same warm-then-measure protocol as above.
-    SimParams params;
-    params.warmup_accesses = 500;
-    params.measure_accesses = 2000;
-    params.attribution = false;
-    Simulator sim(makeConfig(ConfigId::NestedEcpt), params);
-    sim.run("GUPS");
-
-    const Addr base = sim.system().mmapRegion(64 * 4096);
-    std::vector<Addr> vas;
-    for (int i = 0; i < 64; ++i)
-        vas.push_back(base + static_cast<Addr>(i) * 4096);
-    for (Addr va : vas)
-        sim.system().ensureResident(va);
-    Cycles now = 1'000'000;
-    for (Addr va : vas) {
-        sim.walker(0).translate(va, now);
-        now += 1000;
-    }
-
-    const std::uint64_t allocs = allocationsDuring([&] {
-        for (int round = 0; round < 10; ++round) {
-            for (Addr va : vas) {
-                const WalkResult w = sim.walker(0).translate(va, now);
-                ASSERT_GT(w.latency, 0u);
-                now += 1000;
-            }
-        }
-    });
-    EXPECT_EQ(allocs, 0u);
-}
-
 } // namespace necpt

@@ -164,13 +164,13 @@ TEST_F(PlanFixture, ClassifyBoundaries)
 {
     EcptProbePlan plan;
     plan.way_mask = {1, 0, 0};
-    EXPECT_EQ(classifyPlan(plan, 3), WalkKind::Direct);
+    EXPECT_EQ(classifyPlan(plan), WalkKind::Direct);
     plan.way_mask = {0b111, 0, 0};
-    EXPECT_EQ(classifyPlan(plan, 3), WalkKind::Size);
+    EXPECT_EQ(classifyPlan(plan), WalkKind::Size);
     plan.way_mask = {0b111, 0b111, 0};
-    EXPECT_EQ(classifyPlan(plan, 3), WalkKind::Partial);
+    EXPECT_EQ(classifyPlan(plan), WalkKind::Partial);
     plan.way_mask = {0b111, 0b111, 0b111};
-    EXPECT_EQ(classifyPlan(plan, 3), WalkKind::Complete);
+    EXPECT_EQ(classifyPlan(plan), WalkKind::Complete);
 }
 
 } // namespace necpt
