@@ -455,6 +455,14 @@ TEST(GoldenDeterminism, NativeEcptChurnLayoutMatchesGolden)
     checkLayoutGolden("ecpt_churn", ConfigId::Ecpt, "", layout_churn);
 }
 
+// Nested ECPT, 4KB pages, no faults: two cores, so four GUPS VMAs,
+// each prefaulted untouched. Pins the plain demand-paging layout the
+// fault-injected nested goldens below do not reach.
+TEST(GoldenDeterminism, NestedEcptLayoutMatchesGolden)
+{
+    checkLayoutGolden("nested_ecpt", ConfigId::NestedEcpt);
+}
+
 // Injected kick exhaustion and resize windows draw from the fault
 // plan's streams once per placement / insert: a fault-in path that
 // places or inserts a different number of times shifts every later
@@ -484,6 +492,29 @@ TEST(GoldenDeterminism, OneGigPrefaultLayoutMatchesGolden)
     sys.mmapRegion1G(1ULL << 30);
     sys.prefaultAll();
     checkAgainstGolden("layout_prefault_1g", renderLayout(sys));
+}
+
+// Pages touched through ensureResident before prefaultAll: their VMAs
+// hold mappings the prefault pass must find, not re-create, and the
+// host backing of the touched frames lies below later frames. Small
+// initial ways make both tables grow elastically partway through the
+// last, untouched VMA, so a resize window opens on a fresh VMA too.
+TEST(GoldenDeterminism, TouchedPrefaultLayoutMatchesGolden)
+{
+    SystemConfig cfg = makeConfig(ConfigId::NestedEcpt).system;
+    cfg.guest_ecpt.initial_slots = {512, 512, 256};
+    cfg.host_ecpt.initial_slots = {512, 512, 256};
+    NestedSystem sys(cfg);
+    const Addr a = sys.mmapRegion(8ULL << 20, true);
+    const Addr b = sys.mmapRegion(6ULL << 20, false);
+    sys.mmapRegion(24ULL << 20, true);
+    for (const Addr va : {Addr{a + 0x5000}, Addr{a + 0x6000},
+                          Addr{a + (3ULL << 20)},
+                          Addr{a + (5ULL << 20) + 0x1234},
+                          Addr{b + 0x3000}})
+        sys.ensureResident(va);
+    sys.prefaultAll();
+    checkAgainstGolden("layout_nested_ecpt_touched", renderLayout(sys));
 }
 
 } // namespace necpt
