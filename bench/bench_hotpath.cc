@@ -6,13 +6,14 @@
  * made of — the packed set-associative cache, the elastic cuckoo
  * table's find and probe-address generation, and the one-pass hash
  * family — plus the functional layer's fault-in path (ECPT map with
- * CWT maintenance, and a whole Nested-ECPT prefault), reported as
- * operations per second and nanoseconds per operation and written to
- * BENCH_hotpath.json in the same shape bench_sim_throughput emits, so
- * tools/check_bench.py can diff either artifact against its committed
- * baseline. These are the structures the allocation-free-hot-path work
- * targets; a layout or inlining regression shows up here first, at
- * much finer grain than the end-to-end throughput bench.
+ * CWT maintenance, and whole Nested-ECPT prefaults with 4KB and THP
+ * pages), reported as operations per second and nanoseconds per
+ * operation and written to BENCH_hotpath.json in the same shape
+ * bench_sim_throughput emits, so tools/check_bench.py can diff either
+ * artifact against its committed baseline. These are the structures
+ * the allocation-free-hot-path work targets; a layout or inlining
+ * regression shows up here first, at much finer grain than the
+ * end-to-end throughput bench.
  */
 
 #include <chrono>
@@ -189,20 +190,38 @@ ecptMap()
     });
 }
 
-Sample
-prefault()
+std::uint64_t
+faultCount(const NestedSystem &sys)
 {
-    // Nested ECPTs (4KB guest and host pages): one guest and one host
-    // fault per page of a 256MB VMA. The rate is per fault.
-    NestedSystem sys(makeConfig(ConfigId::NestedEcpt).system);
-    sys.mmapRegion(256ULL << 20);
-    const std::uint64_t faults = 2 * ((256ULL << 20) >> 12);
-    Sample s = measure("prefault", faults, [&] { sys.prefaultAll(); });
-    if (sys.guestFaults() + sys.hostFaults() != faults)
-        std::fprintf(stderr, "prefault: expected %llu faults, got %llu\n",
+    return sys.guestFaults() + sys.hostFaults();
+}
+
+/**
+ * A whole prefault of one 256MB VMA on @p cfg; the rate is per fault
+ * (guest plus host). The count must equal what faulting the same
+ * VMA in page by page through ensureResident makes, on a twin
+ * machine outside the timed region; @p ok is cleared otherwise.
+ */
+Sample
+prefault(const char *name, const SystemConfig &cfg, bool &ok)
+{
+    const std::uint64_t bytes = 256ULL << 20;
+    NestedSystem reference(cfg);
+    const Addr base = reference.mmapRegion(bytes);
+    for (Addr va = base; va < base + bytes;
+         va += pageBytes(PageSize::Page4K))
+        reference.ensureResident(va);
+    const std::uint64_t faults = faultCount(reference);
+
+    NestedSystem sys(cfg);
+    sys.mmapRegion(bytes);
+    Sample s = measure(name, faults, [&] { sys.prefaultAll(); });
+    if (faultCount(sys) != faults) {
+        std::fprintf(stderr, "%s: expected %llu faults, got %llu\n", name,
                      (unsigned long long)faults,
-                     (unsigned long long)(sys.guestFaults()
-                                          + sys.hostFaults()));
+                     (unsigned long long)faultCount(sys));
+        ok = false;
+    }
     return s;
 }
 
@@ -221,7 +240,17 @@ main()
     samples.push_back(cuckooProbeAddrs());
     samples.push_back(hashAll());
     samples.push_back(ecptMap());
-    samples.push_back(prefault());
+    // Nested ECPTs with 4KB guest and host pages: one guest and one
+    // host fault per page. With THP at half guest coverage, half the
+    // 64MB regions fault 2MB pages on both sides and the other half
+    // fault 4KB guest pages backed by host huge pages, each of which
+    // keeps its host lookup.
+    bool faults_ok = true;
+    samples.push_back(prefault(
+        "prefault", makeConfig(ConfigId::NestedEcpt).system, faults_ok));
+    SystemConfig thp = makeConfig(ConfigId::NestedEcptThp).system;
+    thp.guest_thp_coverage = 0.5;
+    samples.push_back(prefault("prefault_thp", thp, faults_ok));
 
     const char *path = "BENCH_hotpath.json";
     std::FILE *out = std::fopen(path, "w");
@@ -244,5 +273,5 @@ main()
     std::fprintf(out, "  ]\n}\n");
     std::fclose(out);
     std::printf("\nwrote %s\n", path);
-    return 0;
+    return faults_ok ? 0 : 1;
 }

@@ -1,5 +1,7 @@
 #include "os/system.hh"
 
+#include <algorithm>
+
 #include "common/error.hh"
 #include "common/fault.hh"
 #include "common/log.hh"
@@ -133,10 +135,10 @@ NestedSystem::mmapRegion1G(std::uint64_t bytes)
     return base;
 }
 
-const NestedSystem::Vma *
-NestedSystem::vmaOf(Addr gva) const
+NestedSystem::Vma *
+NestedSystem::vmaOf(Addr gva)
 {
-    for (const Vma &vma : vmas)
+    for (Vma &vma : vmas)
         if (gva >= vma.base && gva < vma.base + vma.bytes)
             return &vma;
     return nullptr;
@@ -165,13 +167,33 @@ NestedSystem::hostMap(Addr gpa, Addr hpa, PageSize size)
 {
     ++mutation_stamp;
     host_pt->map(gpa, hpa, size);
+    host_mapped_end = std::max(host_mapped_end, gpa + pageBytes(size));
+}
+
+void
+NestedSystem::guestMapRun(Addr gva, const Addr *gpas, std::size_t n,
+                          PageSize size)
+{
+    mutation_stamp += n;
+    guest_pt->mapRun(gva, gpas, n, size);
+}
+
+void
+NestedSystem::hostMapRun(Addr gpa, const Addr *hpas, std::size_t n,
+                         PageSize size)
+{
+    mutation_stamp += n;
+    host_pt->mapRun(gpa, hpas, n, size);
+    host_mapped_end =
+        std::max(host_mapped_end, gpa + n * pageBytes(size));
 }
 
 Translation
-NestedSystem::guestFaultIn(Addr gva, const Vma &vma)
+NestedSystem::guestFaultIn(Addr gva, Vma &vma)
 {
     PhysMemPool &frames = cfg.virtualized ? *guest_pool : *host_pool;
     ++guest_faults;
+    vma.touched = true;
 
     // Explicit 1GB (hugetlbfs-style) regions bypass the THP policy.
     PageSize size = PageSize::Page1G;
@@ -200,7 +222,7 @@ NestedSystem::guestFaultIn(Addr gva, const Vma &vma)
     return {frame, size, true};
 }
 
-void
+PageSize
 NestedSystem::hostFaultIn(Addr gpa)
 {
     NECPT_ASSERT(cfg.virtualized);
@@ -212,7 +234,7 @@ NestedSystem::hostFaultIn(Addr gpa)
         hostMap(page, host_pool->allocFrame(PageSize::Page4K),
                 PageSize::Page4K);
         noteHost4kBlock(gpa);
-        return;
+        return PageSize::Page4K;
     }
 
     // Per-64MB-chunk decision, as on the guest side: coarse enough to
@@ -242,12 +264,13 @@ NestedSystem::hostFaultIn(Addr gpa)
         const Addr page = pageBase(gpa, PageSize::Page2M);
         hostMap(page, host_pool->allocFrame(PageSize::Page2M),
                 PageSize::Page2M);
-    } else {
-        const Addr page = pageBase(gpa, PageSize::Page4K);
-        hostMap(page, host_pool->allocFrame(PageSize::Page4K),
-                PageSize::Page4K);
-        noteHost4kBlock(gpa);
+        return PageSize::Page2M;
     }
+    const Addr page = pageBase(gpa, PageSize::Page4K);
+    hostMap(page, host_pool->allocFrame(PageSize::Page4K),
+            PageSize::Page4K);
+    noteHost4kBlock(gpa);
+    return PageSize::Page4K;
 }
 
 void
@@ -417,7 +440,7 @@ NestedSystem::faultIn(Addr gva, bool &faulted)
 {
     Translation g = guestTranslate(gva);
     if (!g.valid) {
-        const Vma *vma = vmaOf(gva);
+        Vma *vma = vmaOf(gva);
         if (!vma)
             throw ConfigError(strfmt(
                 "access to unmapped guest VA 0x%llx",
@@ -448,14 +471,19 @@ NestedSystem::ensureResident(Addr gva)
 }
 
 void
-NestedSystem::prefaultAll()
+NestedSystem::mapRange(Vma &vma)
 {
-    // Walk VMAs by mapped-page stride so a 2MB THP mapping advances
-    // the cursor by 2MB.
-    bool faulted = false;
-    for (std::size_t i = 0; i < vmas.size(); ++i) {
-        const Vma vma = vmas[i];
-        for (Addr va = vma.base; va < vma.base + vma.bytes;) {
+    const Addr end = vma.base + vma.bytes;
+    // Fallback: faultIn page by page, walking by mapped-page stride so
+    // a 2MB THP mapping advances the cursor by 2MB. A touched VMA
+    // needs its lookups; HPT lookups are counted statistics; a fault
+    // plan draws from one stream for both levels, so guest and host
+    // steps must stay interleaved page by page.
+    if (vma.touched || vma.use_1g || cfg.fault_plan
+        || cfg.guest_kind == PtKind::Hpt
+        || (cfg.virtualized && cfg.host_kind == PtKind::Hpt)) {
+        bool faulted = false;
+        for (Addr va = vma.base; va < end;) {
             const Translation g = faultIn(va, faulted);
             // Counted HPT probe statistics include prefault's stride
             // lookup (see faultIn).
@@ -463,7 +491,87 @@ NestedSystem::prefaultAll()
                 hpt->lookup(va);
             va += pageBytes(g.size);
         }
+        return;
     }
+
+    PhysMemPool &frames = cfg.virtualized ? *guest_pool : *host_pool;
+    const EcptPageTable *guest_ecpt = guestEcpt();
+    Addr gpas[PteBlock::entries];
+    for (Addr va = vma.base; va < end;) {
+        // An untouched VMA holds no guest mapping: fault in without
+        // the lookup. This page goes in alone; it may place a new
+        // block, kick, or start a resize.
+        const Translation g = guestFaultIn(va, vma);
+        const std::uint64_t bytes = pageBytes(g.size);
+        const std::uint64_t block_bytes = bytes * PteBlock::entries;
+        const Addr block_end =
+            std::min(end, alignDown(va, block_bytes) + block_bytes);
+        gpas[0] = g.pa;
+        std::size_t n = 1;
+        va += bytes;
+        // The rest of its block then takes one cuckoo probe, unless a
+        // resize is in flight: each of those updates steps the
+        // migration, and its kicks must stay between the host steps
+        // of the neighboring pages. The pages share the first page's
+        // 64MB THP region, so they are all of its size; and frame
+        // allocations commute with the table's region allocations.
+        if (guest_ecpt && !guest_ecpt->tableOf(g.size).resizing()) {
+            const Addr rest = va;
+            for (; va < block_end; va += bytes)
+                gpas[n++] = frames.allocFrame(g.size);
+            if (n > 1) {
+                guest_faults += n - 1;
+                guestMapRun(rest, gpas + 1, n - 1, g.size);
+            }
+        }
+        if (cfg.virtualized)
+            hostBackRun(gpas, n);
+    }
+}
+
+void
+NestedSystem::hostBackRun(const Addr *gpas, std::size_t n)
+{
+    const EcptPageTable *host_ecpt = hostEcpt();
+    constexpr std::uint64_t page_bytes = pageBytes(PageSize::Page4K);
+    for (std::size_t i = 0; i < n;) {
+        const Addr gpa = gpas[i++];
+        // Below the mark the gPA may be backed already (by a host huge
+        // page or an earlier fault): look it up as faultIn does.
+        if (gpa < host_mapped_end) {
+            if (!host_pt->lookup(gpa).valid)
+                hostFaultIn(gpa);
+            continue;
+        }
+        if (hostFaultIn(gpa) != PageSize::Page4K || !host_ecpt
+            || host_ecpt->tableOf(PageSize::Page4K).resizing())
+            continue;
+        // Consecutive gPAs in the rest of this 4KB host block: each
+        // would fault to a 4KB page too (its 2MB block now holds one)
+        // and noteHost4kBlock would find the block already noted.
+        const Addr rest = gpa + page_bytes;
+        const Addr block_end =
+            alignDown(gpa, page_bytes * PteBlock::entries)
+            + page_bytes * PteBlock::entries;
+        Addr hpas[PteBlock::entries];
+        std::size_t m = 0;
+        while (i < n && gpas[i] == rest + m * page_bytes
+               && gpas[i] < block_end) {
+            hpas[m++] = host_pool->allocFrame(PageSize::Page4K);
+            ++i;
+        }
+        if (m) {
+            host_faults += m;
+            hostMapRun(rest, hpas, m, PageSize::Page4K);
+        }
+    }
+}
+
+void
+NestedSystem::prefaultAll()
+{
+    for (Vma &vma : vmas)
+        mapRange(vma);
     // Let background migration finish: measurement starts from a
     // quiesced steady state (in-flight resizes would otherwise double
     // every probe forever, since migration progresses on inserts).

@@ -25,6 +25,7 @@
 #ifndef NECPT_OS_SYSTEM_HH
 #define NECPT_OS_SYSTEM_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -120,7 +121,8 @@ class NestedSystem
     /**
      * Monotonic page-table mutation counter: bumped by every map,
      * unmap, and permission change on either level (the guestMap /
-     * guestUnmap / hostMap / hostUnmap / writeProtectPage funnels, so
+     * guestUnmap / hostMap / hostUnmap / writeProtectPage funnels and
+     * the guestMapRun / hostMapRun ones, once per page, so
      * churn, ballooning, migration, THP promotion/demotion, and
      * demand faults all count), plus quiesce() — retiring old table
      * generations changes probe-address layouts without touching any
@@ -132,7 +134,8 @@ class NestedSystem
     /**
      * Fault in every page of every VMA — the steady state the paper
      * measures in (applications materialize their datasets during
-     * initialization; Section 8 measures after warm-up).
+     * initialization; Section 8 measures after warm-up). One
+     * mapRange() pass per VMA, then quiesce().
      */
     void prefaultAll();
 
@@ -285,9 +288,13 @@ class NestedSystem
         std::uint64_t bytes;
         bool thp_eligible;
         bool use_1g = false;
+        /** A guest fault (or a range pass) has mapped into it. Every
+         *  other guest mapping path starts from an existing mapping,
+         *  so an untouched VMA holds none. */
+        bool touched = false;
     };
 
-    const Vma *vmaOf(Addr gva) const;
+    Vma *vmaOf(Addr gva);
 
     /** The guest/host table as a @p T when it is of that organization
      *  (the configured kind names its dynamic type), else null. */
@@ -319,12 +326,29 @@ class NestedSystem
      */
     Translation faultIn(Addr gva, bool &faulted);
 
+    /**
+     * Fault in every page of @p vma — prefaultAll()'s pass over one
+     * VMA, leaving the same layout as faultIn() page by page. On an
+     * untouched VMA it skips the lookups that must miss (guest
+     * pages, and gPAs past host_mapped_end) and, where an ECPT has
+     * just inserted a block's first page with no resize in flight,
+     * installs the rest of the block with one mapRun(). Touched and
+     * 1GB VMAs, HPT organizations and fault-injected runs keep
+     * faultIn() per page.
+     */
+    void mapRange(Vma &vma);
+
+    /** Back the guest frames @p gpas (in fault order) the way faultIn
+     *  would, without the lookups that must miss (see mapRange). */
+    void hostBackRun(const Addr *gpas, std::size_t n);
+
     /** Install a guest mapping for the page containing @p gva.
      *  @return the mapping installed. */
-    Translation guestFaultIn(Addr gva, const Vma &vma);
+    Translation guestFaultIn(Addr gva, Vma &vma);
 
-    /** Install host backing for the page containing @p gpa. */
-    void hostFaultIn(Addr gpa);
+    /** Install host backing for the page containing @p gpa.
+     *  @return the size of the host page mapped. */
+    PageSize hostFaultIn(Addr gpa);
 
     /** Record that the 2MB gPA block holding @p gpa has a 4KB host
      *  mapping (consecutive 4KB faults of one block touch the set
@@ -333,6 +357,11 @@ class NestedSystem
 
     void guestMap(Addr gva, Addr gpa, PageSize size);
     void hostMap(Addr gpa, Addr hpa, PageSize size);
+    /** mapRun() twins of guestMap/hostMap: one mutation per page. */
+    void guestMapRun(Addr gva, const Addr *gpas, std::size_t n,
+                     PageSize size);
+    void hostMapRun(Addr gpa, const Addr *hpas, std::size_t n,
+                    PageSize size);
 
     /** Remove the guest mapping of @p page (base-aligned) at @p size. */
     void guestUnmap(Addr page, PageSize size);
@@ -368,6 +397,10 @@ class NestedSystem
     std::unordered_set<std::uint64_t> host_blocks_with_4k;
     /** Last block added to host_blocks_with_4k (never erased). */
     std::uint64_t last_host_4k_block = ~0ULL;
+
+    /** Every host mapping ever made lies below this gPA, so a gPA at
+     *  or past it is unbacked without a lookup. */
+    Addr host_mapped_end = 0;
 
     std::uint64_t guest_faults = 0;
     std::uint64_t host_faults = 0;

@@ -1,5 +1,6 @@
 #include "pt/ecpt.hh"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "common/error.hh"
@@ -74,6 +75,49 @@ EcptPageTable::map(Addr va, Addr pa, PageSize size)
             fresh = !block.pte[sub].present();
             block.pte[sub] = Pte::make(pa);
         });
+    noteMapped(va, size, way, fresh);
+}
+
+void
+EcptPageTable::mapRun(Addr va, const Addr *pas, std::size_t n,
+                      PageSize size)
+{
+    NECPT_ASSERT(pageOffset(va, size) == 0);
+    auto &table = tableOf(size);
+    const std::uint64_t bytes = pageBytes(size);
+    for (std::size_t i = 0; i < n;) {
+        const Addr page = va + i * bytes;
+        const auto sub =
+            static_cast<std::size_t>(pageNumber(page, size) & 0x7);
+        // An update() of a resident key edits it in place and returns
+        // its way; around that it may draw a resize window (fault
+        // plan), step a migration (resize in flight) or start a
+        // resize (load factor over the threshold). With none of those
+        // possible, one probe stands for the block's whole run.
+        ElasticCuckooTable<PteBlock>::FindResult hit;
+        if (!fault_plan && !table.resizing()
+            && !(table.loadFactor() > cfg.resize_threshold))
+            hit = table.find(blockKey(page, size));
+        if (!hit) {
+            map(page, pas[i], size);
+            ++i;
+            continue;
+        }
+        const std::size_t run = std::min(n - i, PteBlock::entries - sub);
+        for (std::size_t j = 0; j < run; ++j) {
+            NECPT_ASSERT(pageOffset(pas[i + j], size) == 0);
+            Pte &pte = hit.value->pte[sub + j];
+            const bool fresh = !pte.present();
+            pte = Pte::make(pas[i + j]);
+            noteMapped(page + j * bytes, size, hit.way, fresh);
+        }
+        i += run;
+    }
+}
+
+void
+EcptPageTable::noteMapped(Addr va, PageSize size, int way, bool fresh)
+{
     if (fresh)
         ++mapped[static_cast<int>(size)];
 
@@ -173,6 +217,7 @@ EcptPageTable::lookup(Addr va) const
 void
 EcptPageTable::setFaultPlan(FaultPlan *plan)
 {
+    fault_plan = plan;
     for (int s = 0; s < num_page_sizes; ++s)
         tables[s]->setFaultPlan(plan);
 }

@@ -91,6 +91,17 @@ class EcptPageTable final : public PageTable
     /** Install va -> pa for a page of @p size, maintaining the CWTs. */
     void map(Addr va, Addr pa, PageSize size) override;
 
+    /**
+     * Install a run of pages (see PageTable::mapRun). Where the run's
+     * block is already resident, no resize is in flight or due and no
+     * fault plan is armed, the block's pages are edited in place
+     * after one cuckoo probe: the update() a single map() would make,
+     * and one that places nothing, steps no migration and draws
+     * nothing. Every other page goes in through map().
+     */
+    void mapRun(Addr va, const Addr *pas, std::size_t n,
+                PageSize size) override;
+
     /** Remove the mapping of the page containing @p va. */
     void unmap(Addr va, PageSize size) override;
 
@@ -218,6 +229,11 @@ class EcptPageTable final : public PageTable
     const EcptConfig &config() const { return cfg; }
 
   private:
+    /** Bookkeeping of one page just written into a block held in
+     *  @p way: the mapping count and has-smaller bits when the page
+     *  is @p fresh, and the CWT present bit at its own size. */
+    void noteMapped(Addr va, PageSize size, int way, bool fresh);
+
     /** Refresh the CWT way bits after @p block moved to @p way. */
     void noteBlockPlacement(PageSize size, std::uint64_t key, int way,
                             const PteBlock &block);
@@ -243,6 +259,8 @@ class EcptPageTable final : public PageTable
                num_page_sizes> tables;
     std::array<std::unique_ptr<CuckooWalkTable>, num_page_sizes> cwts;
     std::array<std::uint64_t, num_page_sizes> mapped{};
+    /** The armed fault plan: mapRun() never batches under one. */
+    FaultPlan *fault_plan = nullptr;
 };
 
 } // namespace necpt

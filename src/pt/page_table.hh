@@ -12,6 +12,7 @@
 #ifndef NECPT_PT_PAGE_TABLE_HH
 #define NECPT_PT_PAGE_TABLE_HH
 
+#include <cstddef>
 #include <cstdint>
 
 #include "pt/pte.hh"
@@ -39,6 +40,20 @@ class PageTable
 
     /** Install va -> pa for a page of @p size. */
     virtual void map(Addr va, Addr pa, PageSize size) = 0;
+
+    /**
+     * Install @p n pages of @p size at consecutive addresses from
+     * @p va, page i mapping to @p pas[i]. Equivalent to @p n map()
+     * calls in order: the same final layout, statistics and region
+     * allocations. An organization may override it to make fewer
+     * table updates.
+     */
+    virtual void
+    mapRun(Addr va, const Addr *pas, std::size_t n, PageSize size)
+    {
+        for (std::size_t i = 0; i < n; ++i)
+            map(va + i * pageBytes(size), pas[i], size);
+    }
 
     /** Remove the mapping of the page at @p va (base-aligned). */
     virtual void unmap(Addr va, PageSize size) = 0;
