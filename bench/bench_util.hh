@@ -1,11 +1,8 @@
 /**
  * @file
- * Shared helpers for the per-table/per-figure bench binaries.
- *
- * Every bench prints the same rows/series its paper counterpart
- * reports, using the environment run-length knobs documented in
- * sim/experiment.hh (NECPT_WARMUP / NECPT_MEASURE / NECPT_SCALE /
- * NECPT_APPS / NECPT_FULL).
+ * Shared helpers for the bench binaries: the static paper-table
+ * printers and the host-throughput benches. The environment knobs
+ * they honor are documented in sim/experiment.hh.
  */
 
 #ifndef NECPT_BENCH_BENCH_UTIL_HH
@@ -13,37 +10,11 @@
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
-#include "common/stats.hh"
-#include "exec/registry.hh"
 #include "sim/experiment.hh"
-#include "workloads/workload.hh"
 
 namespace necpt
 {
-
-/**
- * Run a grid registered in exec/registry.hh end to end (banner,
- * parallel fan-out via the sweep engine, summary tables) with the
- * environment-knob parameters — the whole main() of a ported bench.
- * @return process exit code (2 if any job failed).
- */
-inline int
-runRegisteredSweep(const std::string &grid_name)
-{
-    const SweepGrid *grid = findSweepGrid(grid_name);
-    if (!grid) {
-        std::fprintf(stderr, "sweep grid '%s' is not registered\n",
-                     grid_name.c_str());
-        return 1;
-    }
-    const SimParams params = paramsFromEnv();
-    SweepOptions options;
-    options.base_seed = params.seed;
-    const ResultSink sink = runSweepGrid(*grid, params, options);
-    return sink.failedCount() ? 2 : 0;
-}
 
 /** Print the standard bench banner. */
 inline void
@@ -53,17 +24,6 @@ benchBanner(const std::string &what, const std::string &paper_ref)
     std::printf("# %s\n", what.c_str());
     std::printf("# Reproduces: %s\n", paper_ref.c_str());
     std::printf("######################################################\n");
-}
-
-/** Geometric-mean helper over per-app values. */
-inline double
-geoMeanOver(const std::vector<std::string> &apps,
-            const std::function<double(const std::string &)> &value)
-{
-    std::vector<double> values;
-    for (const auto &app : apps)
-        values.push_back(value(app));
-    return geoMean(values);
 }
 
 } // namespace necpt

@@ -1,18 +1,23 @@
 /**
  * @file
- * The registered sweep grids — the paper figures/tables ported onto
- * the engine. Each grid's print_summary reproduces its original
- * bench binary's stdout tables verbatim from the structured records,
- * so `necpt_sweep <grid>` and `bench_<grid>` stay byte-identical.
+ * The registered sweep grids: every paper figure, table and section
+ * experiment that runs simulations, plus the engine's own design-point
+ * grids. Each grid's print_summary renders its tables from the
+ * structured records, so `necpt_sweep <grid>` is the one entry point.
+ * The Section-9 figures share Figure 9's job keys (exec/registry.hh).
  */
 
 #include "exec/registry.hh"
 
 #include <cstdio>
+#include <set>
+#include <stdexcept>
 
 #include "coherence/churn.hh"
+#include "common/error.hh"
 #include "common/stats.hh"
 #include "sim/config.hh"
+#include "walk/nested_radix.hh"
 #include "workloads/workload.hh"
 
 namespace necpt
@@ -20,6 +25,29 @@ namespace necpt
 
 namespace
 {
+
+void
+printBanner(const SweepGrid &grid)
+{
+    std::printf("######################################################\n");
+    std::printf("# %s\n", grid.title.c_str());
+    std::printf("# Reproduces: %s\n", grid.paper_ref.c_str());
+    std::printf("######################################################\n");
+}
+
+/** Render @p grid's tables. A renderer that reads a failed job's
+ *  record stops with a note, so one failure cannot abort the sweep
+ *  before its JSON is written. */
+void
+printSummary(const SweepGrid &grid, const ResultSink &sink,
+             const SimParams &params)
+{
+    try {
+        grid.print_summary(sink, params);
+    } catch (const std::out_of_range &) {
+        std::printf("\n(summary incomplete: a job it reads failed)\n");
+    }
+}
 
 // ------------------------------------------------------------- fig9
 
@@ -65,6 +93,18 @@ simJob(const std::string &key, const ExperimentConfig &config,
         p.timeseries = ctx.timeseries;
         JobOutput out;
         out.sim = runSim(config, p, app);
+        // Conservation: the attribution ledger charges every MMU busy
+        // cycle exactly once. Figure 10 reads the attr.* rollup and
+        // Figure 14's per-step probe averages come from the phases it
+        // charges, so a missed or double-counted phase fails the job
+        // here instead of silently skewing a figure.
+        const double attributed = out.sim.metrics.at("attr.total.cycles");
+        if (attributed != static_cast<double>(out.sim.mmu_busy_cycles))
+            throw InvariantViolation(
+                "attribution conservation violated: attr.total.cycles "
+                + std::to_string(static_cast<std::uint64_t>(attributed))
+                + " != mmu_busy_cycles "
+                + std::to_string(out.sim.mmu_busy_cycles));
         // Publish the unified dotted-name scalars as this job's stats
         // columns in the sweep JSON.
         out.metrics = out.sim.metrics;
@@ -73,15 +113,23 @@ simJob(const std::string &key, const ExperimentConfig &config,
     return spec;
 }
 
+/** Jobs for @p configs x @p apps under the shared Figure-9 keys. */
 std::vector<JobSpec>
-fig9Jobs(const SimParams &params)
+sharedJobs(const std::vector<ExperimentConfig> &configs,
+           const std::vector<std::string> &apps, const SimParams &params)
 {
     std::vector<JobSpec> jobs;
-    for (const ExperimentConfig &config : fig9Configs())
-        for (const std::string &app : appsFromEnv())
+    for (const ExperimentConfig &config : configs)
+        for (const std::string &app : apps)
             jobs.push_back(simJob("fig9/" + config.name + "/" + app,
                                   config, params, app));
     return jobs;
+}
+
+std::vector<JobSpec>
+fig9Jobs(const SimParams &params)
+{
+    return sharedJobs(fig9Configs(), appsFromEnv(), params);
 }
 
 void
@@ -150,6 +198,652 @@ fig9Summary(const ResultSink &sink, const SimParams &)
 
     std::printf("\nPaper: Nested ECPTs 1.19x (4KB), 1.24x (THP); "
                 "Plain ~1.03-1.05x; Hybrid 1.12x/1.13x.\n");
+}
+
+// ------------------------------------------- fig10-fig14, sec95, sec96
+//
+// Views over the Figure-9 evaluation: each builds the pairs it reads
+// with sharedJobs and renders from sink.toGrid().
+
+/** The four nested configurations Figures 10 and 13 compare. */
+std::vector<ExperimentConfig>
+nestedConfigs()
+{
+    return {
+        makeConfig(ConfigId::NestedRadix),
+        makeConfig(ConfigId::NestedRadixThp),
+        makeConfig(ConfigId::NestedEcpt),
+        makeConfig(ConfigId::NestedEcptThp),
+    };
+}
+
+/** The THP pair Figure 11 and Section 9.5 compare. */
+std::vector<ExperimentConfig>
+thpPairConfigs()
+{
+    return {
+        makeConfig(ConfigId::NestedRadixThp),
+        makeConfig(ConfigId::NestedEcptThp),
+    };
+}
+
+std::vector<JobSpec>
+nestedJobs(const SimParams &params)
+{
+    return sharedJobs(nestedConfigs(), appsFromEnv(), params);
+}
+
+std::vector<JobSpec>
+ecptThpJobs(const SimParams &params)
+{
+    return sharedJobs({makeConfig(ConfigId::NestedEcptThp)}, appsFromEnv(),
+                      params);
+}
+
+void
+fig10Summary(const ResultSink &sink, const SimParams &)
+{
+    const auto apps = appsFromEnv();
+    const std::vector<ExperimentConfig> configs = nestedConfigs();
+    const ResultGrid grid = sink.toGrid();
+
+    std::vector<std::string> header = apps;
+    header.push_back("GeoMean");
+    printColumns("Configuration", header);
+    for (const ExperimentConfig &cfg : configs) {
+        std::vector<double> row;
+        for (const auto &app : apps) {
+            // Conservation makes the attribution total equal
+            // mmu_busy_cycles exactly, so the figure reads the attr.*
+            // rollup — any missed charge shifts these columns.
+            const double base = grid.at("Nested Radix", app)
+                                    .metrics.at("attr.total.cycles");
+            row.push_back(grid.at(cfg.name, app)
+                              .metrics.at("attr.total.cycles")
+                          / base);
+        }
+        row.push_back(geoMean(row));
+        printRow(cfg.name, row);
+    }
+    std::printf("\nPaper: Nested ECPTs ~0.75 (4KB) and ~0.69 (THP) of "
+                "Nested Radix busy cycles.\n");
+}
+
+std::vector<JobSpec>
+fig11Jobs(const SimParams &params)
+{
+    return sharedJobs(thpPairConfigs(), {"MUMmer"}, params);
+}
+
+void
+fig11Summary(const ResultSink &sink, const SimParams &)
+{
+    const ResultGrid grid = sink.toGrid();
+
+    const SimResult &radix = grid.at("Nested Radix THP", "MUMmer");
+    const SimResult &ecpt = grid.at("Nested ECPTs THP", "MUMmer");
+
+    std::printf("%-14s %14s %14s\n", "MMU cycles", "NestedRadix THP",
+                "NestedECPT THP");
+    const auto &h = radix.walk_latency;
+    for (std::size_t bin = 0; bin + 1 < h.numBins(); ++bin) {
+        const auto lo = bin * h.binWidth();
+        std::printf("[%4llu,%4llu)   %13.4f %14.4f\n",
+                    (unsigned long long)lo,
+                    (unsigned long long)(lo + h.binWidth()),
+                    radix.walk_latency.probability(bin),
+                    ecpt.walk_latency.probability(bin));
+    }
+    std::printf("%-14s %14.4f %14.4f\n", "overflow",
+                radix.walk_latency.probability(h.numBins() - 1),
+                ecpt.walk_latency.probability(h.numBins() - 1));
+
+    std::printf("\nSummary: mean %llu vs %llu cycles; "
+                "p95 %llu vs %llu; max %llu vs %llu\n",
+                (unsigned long long)radix.walk_latency.mean(),
+                (unsigned long long)ecpt.walk_latency.mean(),
+                (unsigned long long)radix.walk_latency.percentile(95),
+                (unsigned long long)ecpt.walk_latency.percentile(95),
+                (unsigned long long)radix.walk_latency.max(),
+                (unsigned long long)ecpt.walk_latency.max());
+    std::printf("Paper: radix THP exhibits a long tail of several "
+                "hundred cycles; ECPT walks finish within ~4 DRAM "
+                "accesses.\n");
+}
+
+void
+fig12Summary(const ResultSink &sink, const SimParams &)
+{
+    const auto apps = appsFromEnv();
+    const ResultGrid grid = sink.toGrid();
+
+    std::printf("%-10s %14s %14s %s\n", "App", "PTE hit rate",
+                "PMD hit rate", "PTE caching");
+    for (const auto &app : apps) {
+        // Read through the unified metric names (SimResult::metrics
+        // aliases the legacy scalar fields byte-for-byte).
+        const auto &m = grid.at("Nested ECPTs THP", app).metrics;
+        const double pte_rate = m.at("adaptive.pte.rate");
+        const double pmd_rate = m.at("adaptive.pmd.rate");
+        if (m.at("cwc.hcwc_step3.pte.accesses") < 16) {
+            // All of this app's measured data was huge-page backed:
+            // Step 3 never reached the PTE level.
+            std::printf("%-10s %14s %14.3f %s\n", app.c_str(), "n/a",
+                        pmd_rate,
+                        "unused (no 4KB-backed data touched)");
+            continue;
+        }
+        const bool would_disable = pte_rate >= 0 && pte_rate < 0.5;
+        std::printf("%-10s %14.3f %14.3f %s\n", app.c_str(), pte_rate,
+                    pmd_rate,
+                    would_disable ? "disabled (rate < 0.5)"
+                                  : "enabled");
+    }
+    std::printf("\nThresholds: disable PTE caching below 0.5; while "
+                "disabled, re-enable when PMD rate > 0.85.\n");
+    std::printf("Paper: PTE rates high everywhere except GUPS and "
+                "SysBench (whose PMD rates are also lower).\n");
+}
+
+void
+fig13Summary(const ResultSink &sink, const SimParams &)
+{
+    const auto apps = appsFromEnv();
+    const std::vector<ExperimentConfig> configs = nestedConfigs();
+    const ResultGrid grid = sink.toGrid();
+
+    std::vector<std::string> header = apps;
+    header.push_back("GeoMean");
+
+    const struct
+    {
+        const char *title;
+        double SimResult::*field;
+    } panels[] = {
+        {"(a) MMU requests PKI (normalized to Nested Radix)",
+         &SimResult::mmu_rpki},
+        {"(b) L2 misses PKI (normalized)", &SimResult::l2_mpki},
+        {"(c) L3 misses PKI (normalized)", &SimResult::l3_mpki},
+    };
+
+    for (const auto &panel : panels) {
+        printHeader(panel.title);
+        printColumns("Configuration", header);
+        for (const ExperimentConfig &cfg : configs) {
+            std::vector<double> row;
+            for (const auto &app : apps) {
+                const double base =
+                    grid.at("Nested Radix", app).*panel.field;
+                row.push_back(grid.at(cfg.name, app).*panel.field
+                              / (base > 0 ? base : 1));
+            }
+            row.push_back(geoMean(row));
+            printRow(cfg.name, row);
+        }
+    }
+
+    printHeader("MSHR occupancy during parallel walk phases "
+                "(Section 9.3; sequential-walk designs issue no "
+                "parallel phases, so their batch occupancy is zero "
+                "by construction)");
+    for (const ExperimentConfig &cfg : configs) {
+        double avg = 0;
+        std::uint64_t peak = 0;
+        for (const auto &app : apps) {
+            avg += grid.at(cfg.name, app).avg_mshrs;
+            peak = std::max(peak, grid.at(cfg.name, app).max_mshrs);
+        }
+        std::printf("%-22s avg %.1f MSHRs in use, max %llu\n",
+                    cfg.name.c_str(), avg / apps.size(),
+                    (unsigned long long)peak);
+    }
+}
+
+void
+fig14Summary(const ResultSink &sink, const SimParams &)
+{
+    const auto apps = appsFromEnv();
+    const ResultGrid grid = sink.toGrid();
+
+    std::printf("%-10s | %-35s | %-35s\n", "", "host walks",
+                "guest walks");
+    std::printf("%-10s | %8s %8s %8s %8s | %8s %8s %8s %8s\n", "App",
+                "direct", "size", "partial", "complete", "direct",
+                "size", "partial", "complete");
+    // Read through the unified metric names (SimResult::metrics
+    // aliases the legacy scalar fields byte-for-byte).
+    static const char *const kind_names[4] = {"direct", "size",
+                                              "partial", "complete"};
+    double havg[4] = {0, 0, 0, 0}, gavg[4] = {0, 0, 0, 0};
+    for (const auto &app : apps) {
+        const auto &m = grid.at("Nested ECPTs THP", app).metrics;
+        double h[4], g[4];
+        for (int k = 0; k < 4; ++k) {
+            h[k] = m.at(std::string("walk.kind.host.") + kind_names[k]
+                        + ".frac");
+            g[k] = m.at(std::string("walk.kind.guest.") + kind_names[k]
+                        + ".frac");
+        }
+        std::printf("%-10s | %8.3f %8.3f %8.3f %8.3f "
+                    "| %8.3f %8.3f %8.3f %8.3f\n",
+                    app.c_str(), h[0], h[1], h[2], h[3], g[0], g[1],
+                    g[2], g[3]);
+        for (int k = 0; k < 4; ++k) {
+            havg[k] += h[k] / apps.size();
+            gavg[k] += g[k] / apps.size();
+        }
+    }
+    std::printf("%-10s | %8.3f %8.3f %8.3f %8.3f "
+                "| %8.3f %8.3f %8.3f %8.3f\n",
+                "Average", havg[0], havg[1], havg[2], havg[3], gavg[0],
+                gavg[1], gavg[2], gavg[3]);
+
+    printHeader("Average parallel accesses per nested-ECPT step "
+                "(Section 9.4; paper: 2.8 / 2.8 / 1.6 with THP)");
+    double steps[3] = {0, 0, 0};
+    for (const auto &app : apps) {
+        const auto &m = grid.at("Nested ECPTs THP", app).metrics;
+        for (int s = 0; s < 3; ++s)
+            steps[s] += m.at("walk.step" + std::to_string(s + 1)
+                             + ".avg_probes")
+                / apps.size();
+    }
+    std::printf("Step 1: %.1f   Step 2: %.1f   Step 3: %.1f\n",
+                steps[0], steps[1], steps[2]);
+
+    printHeader("MMU cache hit rates (Section 9.4)");
+    double stc = 0, gp = 0, gm = 0, hp = 0, hm = 0, h1 = 0, h3 = 0;
+    for (const auto &app : apps) {
+        const auto &m = grid.at("Nested ECPTs THP", app).metrics;
+        stc += m.at("stc.hitrate") / apps.size();
+        gp += m.at("cwc.gcwc.pud.hitrate") / apps.size();
+        gm += m.at("cwc.gcwc.pmd.hitrate") / apps.size();
+        hp += m.at("cwc.hcwc_step3.pud.hitrate") / apps.size();
+        hm += m.at("cwc.hcwc_step3.pmd.hitrate") / apps.size();
+        h1 += m.at("cwc.hcwc_step1.pte.hitrate") / apps.size();
+        h3 += m.at("cwc.hcwc_step3.pte.hitrate") / apps.size();
+    }
+    std::printf("STC %.2f (paper 0.99) | gCWC PUD %.2f (0.99) PMD %.2f "
+                "(0.86) | hCWC PUD %.2f (0.99) PMD %.2f (0.80) "
+                "PTE-step1 %.2f (0.99) PTE-step3 %.2f (0.67)\n",
+                stc, gp, gm, hp, hm, h1, h3);
+}
+
+std::vector<JobSpec>
+sec95Jobs(const SimParams &params)
+{
+    return sharedJobs(thpPairConfigs(), appsFromEnv(), params);
+}
+
+void
+sec95Summary(const ResultSink &sink, const SimParams &)
+{
+    const auto apps = appsFromEnv();
+    const std::vector<ExperimentConfig> configs = thpPairConfigs();
+    const ResultGrid grid = sink.toGrid();
+
+    for (const ExperimentConfig &cfg : configs) {
+        printHeader(cfg.name);
+        std::printf("%-10s %12s %12s %12s %12s\n", "App", "PTE bytes",
+                    "guest structs", "host structs", "total");
+        double mb = 1.0 / (1 << 20);
+        double avg_pte = 0, avg_total = 0, avg_guest = 0, avg_host = 0;
+        for (const auto &app : apps) {
+            const SimResult &r = grid.at(cfg.name, app);
+            const double total = static_cast<double>(
+                r.guest_structure_bytes + r.host_structure_bytes);
+            std::printf("%-10s %10.1fMB %10.1fMB %10.1fMB %10.1fMB\n",
+                        app.c_str(), r.pte_bytes_total * mb,
+                        r.guest_structure_bytes * mb,
+                        r.host_structure_bytes * mb, total * mb);
+            avg_pte += r.pte_bytes_total * mb / apps.size();
+            avg_guest += r.guest_structure_bytes * mb / apps.size();
+            avg_host += r.host_structure_bytes * mb / apps.size();
+            avg_total += total * mb / apps.size();
+        }
+        std::printf("%-10s %10.1fMB %10.1fMB %10.1fMB %10.1fMB\n",
+                    "Average", avg_pte, avg_guest, avg_host, avg_total);
+    }
+    std::printf("\nPaper (full-scale): 60MB PTEs; 84MB Nested Radix "
+                "(28 guest + 56 host) vs 97MB Nested ECPTs (36 guest + "
+                "61 host).\n");
+}
+
+/** Nested ECPTs against the Section-9.6 designs: the two Nested-ECPT
+ *  rows are Figure-9 pairs, the other designs run under sec96 keys. */
+std::vector<JobSpec>
+sec96Jobs(const SimParams &params)
+{
+    const auto apps = appsFromEnv();
+    std::vector<JobSpec> jobs = sharedJobs(
+        {makeConfig(ConfigId::NestedEcpt),
+         makeConfig(ConfigId::NestedEcptThp)},
+        apps, params);
+    for (const ConfigId id :
+         {ConfigId::AgilePagingIdeal, ConfigId::AgilePagingIdealThp,
+          ConfigId::PomTlb, ConfigId::PomTlbThp, ConfigId::FlatNested,
+          ConfigId::FlatNestedThp, ConfigId::ShadowPaging,
+          ConfigId::ShadowPagingThp, ConfigId::NestedHpt}) {
+        const ExperimentConfig config = makeConfig(id);
+        for (const std::string &app : apps)
+            jobs.push_back(simJob("sec96/" + config.name + "/" + app,
+                                  config, params, app));
+    }
+    return jobs;
+}
+
+void
+sec96Summary(const ResultSink &sink, const SimParams &)
+{
+    const auto apps = appsFromEnv();
+    const ResultGrid grid = sink.toGrid();
+
+    for (const bool thp : {false, true}) {
+        const std::string suffix = thp ? " THP" : "";
+        printHeader(std::string("Nested ECPTs speedup over baselines") +
+                    (thp ? " (THP)" : " (4KB)"));
+        for (const std::string baseline :
+             {"Agile Paging (ideal)", "POM-TLB", "Flat Nested",
+              "Shadow Paging"}) {
+            std::vector<double> speedups;
+            for (const auto &app : apps)
+                speedups.push_back(speedupOver(
+                    grid, baseline + suffix, "Nested ECPTs" + suffix,
+                    app));
+            std::printf("  vs %-22s geomean %.3fx  (per-app:",
+                        baseline.c_str(), geoMean(speedups));
+            for (std::size_t i = 0; i < apps.size(); ++i)
+                std::printf(" %.2f", speedups[i]);
+            std::printf(")\n");
+        }
+    }
+    // The Section-2.2 background design: classic nested HPTs (4KB
+    // pages only — single HPTs cannot express multiple page sizes).
+    printHeader("Nested ECPTs speedup over classic nested HPTs (4KB)");
+    {
+        std::vector<double> speedups;
+        for (const auto &app : apps)
+            speedups.push_back(
+                static_cast<double>(grid.at("Nested HPT", app).cycles)
+                / static_cast<double>(grid.at("Nested ECPTs", app)
+                                          .cycles));
+        std::printf("  vs %-22s geomean %.3fx  (per-app:",
+                    "Nested HPT", geoMean(speedups));
+        for (std::size_t i = 0; i < apps.size(); ++i)
+            std::printf(" %.2f", speedups[i]);
+        std::printf(")\n");
+    }
+
+    std::printf("\nPaper: +16%% vs ideal Agile Paging, +14%% vs "
+                "POM-TLB, +12%%/+15%% vs flat nested tables. Shadow "
+                "paging (steady state, VM exits only on first touch) "
+                "and classic nested HPTs (Section 2.2 / Figure 3) are "
+                "this repo's additional reference points.\n");
+}
+
+// ------------------------------------------------------------ paper
+
+/** The Section-9 evaluation in figure order: Figure 9 and its views. */
+const char *const paper_views[] = {"fig9",  "fig10", "fig11", "fig12",
+                                   "fig13", "fig14", "sec95", "sec96"};
+
+/** Every view's jobs, each key once (first submission wins). */
+std::vector<JobSpec>
+paperJobs(const SimParams &params)
+{
+    std::vector<JobSpec> jobs;
+    std::set<std::string> keys;
+    for (const char *view : paper_views)
+        for (JobSpec &spec : findSweepGrid(view)->make_jobs(params))
+            if (keys.insert(spec.key).second)
+                jobs.push_back(std::move(spec));
+    return jobs;
+}
+
+void
+paperSummary(const ResultSink &sink, const SimParams &params)
+{
+    for (const char *view : paper_views) {
+        const SweepGrid &grid = *findSweepGrid(view);
+        printBanner(grid);
+        printSummary(grid, sink, params);
+    }
+}
+
+// ------------------------------------------------------------ sec94
+
+const std::size_t stc_sizes[] = {4, 8, 10, 16};
+
+ExperimentConfig
+stcConfig(std::size_t entries)
+{
+    NestedEcptFeatures features = NestedEcptFeatures::advanced();
+    features.stc_entries = entries;
+    return makeNestedEcptConfig(
+        features, true, "Nested ECPTs STC" + std::to_string(entries));
+}
+
+std::vector<JobSpec>
+sec94Jobs(const SimParams &params)
+{
+    std::vector<JobSpec> jobs;
+    for (const std::size_t entries : stc_sizes) {
+        const ExperimentConfig config = stcConfig(entries);
+        for (const std::string &app : appsFromEnv())
+            jobs.push_back(simJob("sec94/" + config.name + "/" + app,
+                                  config, params, app));
+    }
+    return jobs;
+}
+
+void
+sec94Summary(const ResultSink &sink, const SimParams &)
+{
+    const auto apps = appsFromEnv();
+    const ResultGrid grid = sink.toGrid();
+
+    std::printf("%-12s", "STC entries");
+    for (const auto &app : apps)
+        std::printf("%9s", app.c_str());
+    std::printf("%9s\n", "Mean");
+
+    for (const std::size_t entries : stc_sizes) {
+        const std::string name = stcConfig(entries).name;
+        std::printf("%-12zu", entries);
+        double mean = 0;
+        for (const auto &app : apps) {
+            const SimResult &r = grid.at(name, app);
+            std::printf("%9.3f", r.stc_hit_rate);
+            mean += r.stc_hit_rate / apps.size();
+        }
+        std::printf("%9.3f\n", mean);
+    }
+    std::printf("\nPaper: ~0.99 at 10 entries, ~0.90 at 8, ~0.50 at 4."
+                "\n");
+}
+
+// -------------------------------------------------- ablation_5level
+
+std::vector<std::string>
+fiveLevelApps()
+{
+    auto apps = appsFromEnv();
+    if (apps.size() > 4)
+        apps = {"GUPS", "BFS", "MUMmer", "SysBench"};
+    return apps;
+}
+
+/** Nested Radix with 4 and 5 levels against Nested ECPTs, whose walk
+ *  does not depend on tree depth (Section 1's 35-reference warning). */
+std::vector<JobSpec>
+fiveLevelJobs(const SimParams &base)
+{
+    const SimParams params = scaledParams(base, 2, 1);
+    ExperimentConfig radix5 = makeConfig(ConfigId::NestedRadix);
+    radix5.name = "Nested Radix 5-level";
+    radix5.system.radix_levels = 5;
+    std::vector<JobSpec> jobs;
+    for (const ExperimentConfig &config :
+         {makeConfig(ConfigId::NestedRadix), radix5,
+          makeConfig(ConfigId::NestedEcpt)})
+        for (const std::string &app : fiveLevelApps())
+            jobs.push_back(simJob("ablation_5level/" + config.name + "/"
+                                      + app,
+                                  config, params, app));
+    return jobs;
+}
+
+void
+fiveLevelSummary(const ResultSink &sink, const SimParams &)
+{
+    const auto apps = fiveLevelApps();
+    const ResultGrid grid = sink.toGrid();
+
+    std::printf("%-10s %16s %16s %16s %18s\n", "App",
+                "radix4 cyc/walk", "radix5 cyc/walk", "ecpt cyc/walk",
+                "ECPT vs radix5");
+    for (const auto &app : apps) {
+        const SimResult &r4 = grid.at("Nested Radix", app);
+        const SimResult &r5 = grid.at("Nested Radix 5-level", app);
+        const SimResult &re = grid.at("Nested ECPTs", app);
+        std::printf("%-10s %16.0f %16.0f %16.0f %17.3fx\n",
+                    app.c_str(),
+                    static_cast<double>(r4.mmu_busy_cycles) / r4.walks,
+                    static_cast<double>(r5.mmu_busy_cycles) / r5.walks,
+                    static_cast<double>(re.mmu_busy_cycles) / re.walks,
+                    static_cast<double>(r5.cycles) / re.cycles);
+    }
+
+    // The fifth level's cost is clearest on a *cold* walk (warm PWCs
+    // absorb the single hot L5 entry at any footprint this repo can
+    // simulate): compare cold 2D traversal access counts directly.
+    {
+        auto coldAccesses = [](int levels) {
+            SystemConfig scfg;
+            scfg.guest_kind = PtKind::Radix;
+            scfg.host_kind = PtKind::Radix;
+            scfg.radix_levels = levels;
+            scfg.guest_phys_bytes = 2ULL << 30;
+            scfg.host_phys_bytes = 3ULL << 30;
+            NestedSystem sys(scfg);
+            MemoryHierarchy mem(MemHierarchyConfig{}, 1);
+            NestedRadixWalker walker(sys, mem, 0);
+            const Addr base = sys.mmapRegion(1ULL << 20);
+            sys.ensureResident(base);
+            return walker.translate(base, 0).mem_accesses;
+        };
+        std::printf("\nCold nested walk references: 4-level %d "
+                    "(paper worst case 24), 5-level %d (paper worst "
+                    "case 35)\n",
+                    coldAccesses(4), coldAccesses(5));
+    }
+    std::printf("\nExpected shape: the fifth level lengthens the cold "
+                "2D traversal while the nested-ECPT walk stays at "
+                "three parallel phases; at steady state small hot L5 "
+                "working sets are PWC-absorbed.\n");
+}
+
+// -------------------------------------------------- ablation_design
+
+std::vector<std::string>
+designApps()
+{
+    auto apps = appsFromEnv();
+    if (apps.size() > 3)
+        apps = {"GUPS", "BFS", "MUMmer"};
+    return apps;
+}
+
+/** One ablation panel: a title and its labeled Nested-ECPT variants
+ *  (each named "Nested ECPTs <label>"). */
+struct DesignPanel
+{
+    std::string title;
+    std::vector<std::pair<std::string, ExperimentConfig>> points;
+};
+
+/** The design choices DESIGN.md calls out: (a) cuckoo ways d (the
+ *  paper fixes d = 3), (b) elastic resize threshold, (c) MMU issue
+ *  width (parallelism actually matters). */
+std::vector<DesignPanel>
+designPanels()
+{
+    auto point = [](const std::string &label) {
+        ExperimentConfig cfg = makeConfig(ConfigId::NestedEcpt);
+        cfg.name += " " + label;
+        return std::make_pair(label, cfg);
+    };
+    std::vector<DesignPanel> panels(3);
+    panels[0].title = "(a) cuckoo ways d (paper: 3)";
+    for (const int ways : {2, 3, 4}) {
+        auto p = point("d = " + std::to_string(ways));
+        p.second.system.guest_ecpt.ways = ways;
+        p.second.system.host_ecpt.ways = ways;
+        panels[0].points.push_back(p);
+    }
+    panels[1].title = "(b) elastic resize threshold (paper-style: 0.6)";
+    for (const double thr : {0.4, 0.6, 0.8}) {
+        auto p = point("threshold = " + std::to_string(thr).substr(0, 3));
+        // Smaller initial tables make the threshold actually engage at
+        // bench scale; higher thresholds trade table size (and cache
+        // footprint) against cuckoo-path length.
+        p.second.system.guest_ecpt.initial_slots = {4096, 4096, 2048};
+        p.second.system.host_ecpt.initial_slots = {4096, 4096, 2048};
+        p.second.system.guest_ecpt.resize_threshold = thr;
+        p.second.system.host_ecpt.resize_threshold = thr;
+        panels[1].points.push_back(p);
+    }
+    panels[2].title = "(c) MMU issue width (parallel probes per wave)";
+    for (const int width : {1, 2, 4, 8}) {
+        auto p = point("width = " + std::to_string(width));
+        p.second.memory.mmu_issue_width = width;
+        panels[2].points.push_back(p);
+    }
+    return panels;
+}
+
+std::vector<JobSpec>
+designJobs(const SimParams &base)
+{
+    const SimParams params = scaledParams(base, 4, 2);
+    std::vector<JobSpec> jobs;
+    for (const DesignPanel &panel : designPanels())
+        for (const auto &[label, config] : panel.points)
+            for (const std::string &app : designApps())
+                jobs.push_back(simJob("ablation_design/" + config.name
+                                          + "/" + app,
+                                      config, params, app));
+    return jobs;
+}
+
+void
+designSummary(const ResultSink &sink, const SimParams &)
+{
+    const auto apps = designApps();
+    const ResultGrid grid = sink.toGrid();
+
+    std::printf("Apps:");
+    for (const auto &a : apps)
+        std::printf(" %s", a.c_str());
+    std::printf("\n");
+
+    for (const DesignPanel &panel : designPanels()) {
+        printHeader(panel.title);
+        for (const auto &[label, config] : panel.points) {
+            std::printf("  %-28s busy/walk", label.c_str());
+            for (const auto &app : apps) {
+                const SimResult &r = grid.at(config.name, app);
+                std::printf(" %7.0f",
+                            static_cast<double>(r.mmu_busy_cycles)
+                                / static_cast<double>(r.walks));
+            }
+            std::printf("\n");
+        }
+    }
+    std::printf("\nWidth 1 serializes the probe groups — the walk "
+                "degenerates toward radix-like sequential behavior, "
+                "which is exactly the paper's case for judicious "
+                "parallelism.\n");
 }
 
 // ----------------------------------------------------------- table4
@@ -621,6 +1315,30 @@ sweepGrids()
     static const std::vector<SweepGrid> grids = {
         {"fig9", "Speedup over the Nested Radix configuration",
          "Figure 9", fig9Jobs, fig9Summary},
+        {"fig10",
+         "MMU busy cycles in nested configurations (normalized to "
+         "Nested Radix)",
+         "Figure 10", nestedJobs, fig10Summary},
+        {"fig11", "Histogram of nested page-walk latency (MUMmer)",
+         "Figure 11", fig11Jobs, fig11Summary},
+        {"fig12", "PTE/PMD hCWT hit rates in the Step-3 hCWC",
+         "Figure 12", ecptThpJobs, fig12Summary},
+        {"fig13", "MMU and cache subsystem characterization",
+         "Figure 13 / Section 9.3", nestedJobs, fig13Summary},
+        {"fig14", "Breakdown of host and guest ECPT walk kinds",
+         "Figure 14 / Section 9.4", ecptThpJobs, fig14Summary},
+        {"sec95", "Memory consumption of virtual-memory structures",
+         "Section 9.5", sec95Jobs, sec95Summary},
+        {"sec96", "Comparison to other advanced designs", "Section 9.6",
+         sec96Jobs, sec96Summary},
+        {"paper", "The Section-9 evaluation, each shared run once",
+         "Figures 9-14, Sections 9.3-9.6", paperJobs, paperSummary},
+        {"sec94", "Shortcut Translation Cache capacity sweep",
+         "Section 9.4", sec94Jobs, sec94Summary},
+        {"ablation_5level", "5-level radix ablation (Sunny Cove / LA57)",
+         "Section 1 motivation", fiveLevelJobs, fiveLevelSummary},
+        {"ablation_design", "Design-choice ablations",
+         "DESIGN.md design-space notes", designJobs, designSummary},
         {"table4", "Applications evaluated", "Table 4", table4Jobs,
          table4Summary},
         {"multicore", "Multi-core (multiprogrammed) scaling",
@@ -657,13 +1375,10 @@ ResultSink
 runSweepGrid(const SweepGrid &grid, const SimParams &params,
              const SweepOptions &options)
 {
-    std::printf("######################################################\n");
-    std::printf("# %s\n", grid.title.c_str());
-    std::printf("# Reproduces: %s\n", grid.paper_ref.c_str());
-    std::printf("######################################################\n");
+    printBanner(grid);
     const SweepEngine engine(options);
     ResultSink sink = engine.run(grid.make_jobs(params));
-    grid.print_summary(sink, params);
+    printSummary(grid, sink, params);
     return sink;
 }
 

@@ -1,13 +1,17 @@
 /**
  * @file
- * The sweep-grid registry: every paper figure/table grid ported onto
- * the engine registers itself here under a short name, so one CLI
- * (`necpt_sweep`) can enumerate and run all of them, and the original
- * bench binary can run the identical grid through the same code path.
+ * The sweep-grid registry: every paper figure/table grid registers
+ * itself here under a short name, so one CLI (`necpt_sweep`) can
+ * enumerate and run all of them.
  *
  * A grid contributes two things: a job list (pure — building it runs
- * no simulation) and a summary printer that reproduces the bench's
- * human-readable stdout tables from the structured records.
+ * no simulation) and a summary printer that renders its human-readable
+ * stdout tables from the structured records.
+ *
+ * Job keys are namespaced by grid (`<grid>/...`), except that a grid
+ * reading a Figure-9 (config, app) pair uses that pair's
+ * `fig9/<config>/<app>` key: the pair then has one seed and one
+ * result in every grid, and a composite grid runs it once.
  */
 
 #ifndef NECPT_EXEC_REGISTRY_HH
@@ -45,8 +49,8 @@ const std::vector<SweepGrid> &sweepGrids();
 const SweepGrid *findSweepGrid(const std::string &name);
 
 /**
- * Run @p grid end to end the way its bench binary does: banner,
- * engine fan-out, summary. Returns the sink for optional export.
+ * Run @p grid end to end: banner, engine fan-out, summary. Returns
+ * the sink for optional export.
  */
 ResultSink runSweepGrid(const SweepGrid &grid, const SimParams &params,
                         const SweepOptions &options);

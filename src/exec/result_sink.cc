@@ -100,6 +100,16 @@ ResultSink::okResults() const
     return results;
 }
 
+double
+speedupOver(const ResultGrid &grid, const std::string &baseline,
+            const std::string &config, const std::string &app)
+{
+    const auto &base = grid.at(baseline, app);
+    const auto &other = grid.at(config, app);
+    return static_cast<double>(base.cycles)
+        / static_cast<double>(other.cycles);
+}
+
 ResultGrid
 ResultSink::toGrid() const
 {

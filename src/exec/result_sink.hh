@@ -12,6 +12,7 @@
 #ifndef NECPT_EXEC_RESULT_SINK_HH
 #define NECPT_EXEC_RESULT_SINK_HH
 
+#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -21,6 +22,37 @@
 
 namespace necpt
 {
+
+/** Successful results keyed by (config name, app name). */
+class ResultGrid
+{
+  public:
+    void
+    add(const SimResult &result)
+    {
+        grid[{result.config, result.app}] = result;
+    }
+
+    /** Throws std::out_of_range when the pair has no result. */
+    const SimResult &
+    at(const std::string &config, const std::string &app) const
+    {
+        return grid.at({config, app});
+    }
+
+    bool
+    has(const std::string &config, const std::string &app) const
+    {
+        return grid.count({config, app}) > 0;
+    }
+
+  private:
+    std::map<std::pair<std::string, std::string>, SimResult> grid;
+};
+
+/** Speedup of @p config over @p baseline for @p app (cycle ratio). */
+double speedupOver(const ResultGrid &grid, const std::string &baseline,
+                   const std::string &config, const std::string &app);
 
 class ResultSink
 {
@@ -56,7 +88,7 @@ class ResultSink
     /** Successful SimResults, submission order (CSV/grid fodder). */
     std::vector<SimResult> okResults() const;
 
-    /** Bridge to the (config, app)-keyed grid the benches consume. */
+    /** Bridge to the (config, app)-keyed grid the renderers read. */
     ResultGrid toGrid() const;
 
     /**

@@ -3,7 +3,7 @@
  * necpt_sweep — the unified parallel sweep runner.
  *
  *   necpt_sweep --list
- *   necpt_sweep fig9 --jobs 8
+ *   necpt_sweep paper --jobs 8 --json paper.json
  *   necpt_sweep multicore --jobs 4 --timeout 600 --json mc.json \
  *               --csv mc.csv
  *
@@ -11,13 +11,15 @@
  * grid fans out across a fixed-size thread pool, each (config, app)
  * job is fault-isolated (exceptions and timeouts become `failed`
  * records instead of aborting the sweep), and results are emitted
- * both as the bench binary's human tables (byte-identical stdout)
- * and as machine-readable JSON (always) / CSV (on request).
+ * both as the grid's human tables on stdout and as machine-readable
+ * JSON (always) / CSV (on request). `paper` runs the whole Section-9
+ * evaluation, each (config, app) pair once, and prints every
+ * figure's tables in order.
  *
  * Determinism: per-job seeds derive from the job key, so any --jobs
  * value produces identical records. Environment knobs (NECPT_WARMUP,
- * NECPT_MEASURE, NECPT_SCALE, NECPT_APPS, NECPT_FULL, NECPT_JOBS)
- * are honored exactly as the bench binaries honor them.
+ * NECPT_MEASURE, NECPT_SCALE, NECPT_APPS, NECPT_MLP, NECPT_FULL,
+ * NECPT_JOBS) are documented in sim/experiment.hh.
  *
  * Fault campaigns (`--faults SPEC`) replicate the grid under
  * --fault-seeds independent fault streams with the spec's injection
@@ -151,7 +153,7 @@ run(int argc, char **argv)
     if (list) {
         std::printf("registered sweep grids:\n");
         for (const SweepGrid &grid : sweepGrids())
-            std::printf("  %-12s %s (%s)\n", grid.name.c_str(),
+            std::printf("  %-16s %s (%s)\n", grid.name.c_str(),
                         grid.title.c_str(), grid.paper_ref.c_str());
         return 0;
     }

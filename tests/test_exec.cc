@@ -429,8 +429,11 @@ TEST(ResultSink, ToGridBridgesOkRecords)
 
 TEST(SweepRegistry, PortedGridsAreRegistered)
 {
-    EXPECT_GE(sweepGrids().size(), 3u);
-    for (const char *name : {"fig9", "table4", "multicore"}) {
+    EXPECT_GE(sweepGrids().size(), 15u);
+    for (const char *name :
+         {"fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "sec94",
+          "sec95", "sec96", "paper", "ablation_5level",
+          "ablation_design", "table4", "multicore"}) {
         const SweepGrid *grid = findSweepGrid(name);
         ASSERT_NE(grid, nullptr) << name;
         EXPECT_EQ(grid->name, name);
@@ -442,21 +445,76 @@ TEST(SweepRegistry, PortedGridsAreRegistered)
 TEST(SweepRegistry, JobKeysAreUniqueAndStable)
 {
     const SimParams params;
+    std::set<std::string> paper_keys;
+    for (const JobSpec &spec : findSweepGrid("paper")->make_jobs(params))
+        paper_keys.insert(spec.key);
+    std::set<std::string> view_keys;
     for (const SweepGrid &grid : sweepGrids()) {
         const auto jobs = grid.make_jobs(params);
         ASSERT_FALSE(jobs.empty()) << grid.name;
         std::set<std::string> keys;
+        bool shares_fig9 = false;
         for (const JobSpec &spec : jobs) {
             EXPECT_TRUE(keys.insert(spec.key).second)
                 << "duplicate key " << spec.key;
-            EXPECT_EQ(spec.key.rfind(grid.name + "/", 0), 0u)
-                << "keys are namespaced by grid: " << spec.key;
+            // A key is namespaced by its own grid, or is the shared
+            // Figure-9 key of a pair the grid reads.
+            const bool fig9_key = spec.key.rfind("fig9/", 0) == 0;
+            shares_fig9 |= fig9_key;
+            if (grid.name != "paper") {
+                EXPECT_TRUE(spec.key.rfind(grid.name + "/", 0) == 0
+                            || fig9_key)
+                    << grid.name << " key " << spec.key;
+            }
+        }
+        // Every view of the Figure-9 evaluation runs inside `paper`.
+        if (shares_fig9 && grid.name != "paper") {
+            for (const std::string &key : keys) {
+                EXPECT_EQ(paper_keys.count(key), 1u)
+                    << grid.name << " key missing from paper: " << key;
+                view_keys.insert(key);
+            }
         }
         // Rebuilding the grid yields the same keys in the same order.
         const auto again = grid.make_jobs(params);
         ASSERT_EQ(again.size(), jobs.size());
         for (std::size_t i = 0; i < jobs.size(); ++i)
             EXPECT_EQ(again[i].key, jobs[i].key);
+    }
+    // ...and `paper` runs nothing else.
+    EXPECT_EQ(view_keys, paper_keys);
+}
+
+TEST(SweepRegistry, PaperSweepRecordsEqualStandaloneView)
+{
+    // The composite grid runs each Figure-9 pair once; a view's
+    // records must not depend on which grid submitted the job.
+    const char *apps = std::getenv("NECPT_APPS");
+    const std::string saved = apps ? apps : "";
+    setenv("NECPT_APPS", "GUPS", 1);
+    SimParams params;
+    params.warmup_accesses = 2'000;
+    params.measure_accesses = 10'000;
+    params.scale_denominator = 2048;
+    const ResultSink paper = SweepEngine(quietOptions(4))
+                                 .run(findSweepGrid("paper")->make_jobs(params));
+    const ResultSink fig10 = SweepEngine(quietOptions(4))
+                                 .run(findSweepGrid("fig10")->make_jobs(params));
+    if (apps)
+        setenv("NECPT_APPS", saved.c_str(), 1);
+    else
+        unsetenv("NECPT_APPS");
+
+    EXPECT_EQ(paper.failedCount(), 0u);
+    ASSERT_EQ(fig10.size(), 4u);
+    for (const JobRecord &view : fig10.records()) {
+        const JobRecord *shared = paper.find(view.key);
+        ASSERT_NE(shared, nullptr) << view.key;
+        ASSERT_EQ(shared->status, JobStatus::Ok) << view.key;
+        ASSERT_EQ(view.status, JobStatus::Ok) << view.key;
+        EXPECT_EQ(shared->seed, view.seed) << view.key;
+        EXPECT_EQ(shared->out.sim.cycles, view.out.sim.cycles) << view.key;
+        EXPECT_EQ(shared->out.sim.walks, view.out.sim.walks) << view.key;
     }
 }
 

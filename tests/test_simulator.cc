@@ -17,6 +17,7 @@
 #include "common/fault.hh"
 #include "common/metrics.hh"
 #include "common/trace_events.hh"
+#include "exec/engine.hh"
 #include "sim/experiment.hh"
 #include "sim/simulator.hh"
 #include "sim/timeseries.hh"
@@ -392,9 +393,23 @@ TEST(ExperimentHelpers, GridAndSpeedup)
 {
     SimParams params = quickParams();
     params.measure_accesses = 30'000;
-    const auto grid = runGrid({makeConfig(ConfigId::NestedRadix),
-                               makeConfig(ConfigId::NestedEcpt)},
-                              {"BFS"}, params);
+    std::vector<JobSpec> specs;
+    for (const ConfigId id :
+         {ConfigId::NestedRadix, ConfigId::NestedEcpt}) {
+        const ExperimentConfig config = makeConfig(id);
+        JobSpec spec;
+        spec.key = config.name + "/BFS";
+        spec.fn = [config, params](const JobContext &) {
+            JobOutput out;
+            out.sim = runSim(config, params, "BFS");
+            return out;
+        };
+        specs.push_back(std::move(spec));
+    }
+    SweepOptions options;
+    options.jobs = 2;
+    options.progress = nullptr;
+    const ResultGrid grid = SweepEngine(options).run(specs).toGrid();
     EXPECT_TRUE(grid.has("Nested Radix", "BFS"));
     const double s =
         speedupOver(grid, "Nested Radix", "Nested ECPTs", "BFS");
@@ -408,33 +423,6 @@ TEST(ExperimentHelpers, EnvDefaults)
     EXPECT_GT(params.measure_accesses, 0u);
     EXPECT_GE(appsFromEnv().size(), 1u);
     EXPECT_GE(jobsFromEnv(), 1);
-}
-
-TEST(ExperimentHelpers, ParallelGridMatchesSerial)
-{
-    SimParams params = quickParams();
-    params.measure_accesses = 20'000;
-    const std::vector<ExperimentConfig> configs = {
-        makeConfig(ConfigId::NestedRadix),
-        makeConfig(ConfigId::NestedEcpt),
-    };
-    const std::vector<std::string> apps = {"BFS", "GUPS"};
-
-    setenv("NECPT_JOBS", "1", 1);
-    const ResultGrid serial = runGrid(configs, apps, params);
-    setenv("NECPT_JOBS", "4", 1);
-    const ResultGrid parallel = runGrid(configs, apps, params);
-    unsetenv("NECPT_JOBS");
-
-    for (const auto &cfg : configs) {
-        for (const auto &app : apps) {
-            EXPECT_EQ(serial.at(cfg.name, app).cycles,
-                      parallel.at(cfg.name, app).cycles)
-                << cfg.name << "/" << app;
-            EXPECT_EQ(serial.at(cfg.name, app).walks,
-                      parallel.at(cfg.name, app).walks);
-        }
-    }
 }
 
 } // namespace necpt
