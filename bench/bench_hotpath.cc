@@ -196,6 +196,26 @@ faultCount(const NestedSystem &sys)
     return sys.guestFaults() + sys.hostFaults();
 }
 
+/** Host bytes (cells plus payload pools) per resident block over both
+ *  ECPTs of @p sys: what one simulated 64-byte slot costs the host. */
+void
+printHostBytes(const NestedSystem &sys)
+{
+    std::uint64_t bytes = 0, entries = 0;
+    for (const EcptPageTable *pt : {sys.guestEcpt(), sys.hostEcpt()}) {
+        if (!pt)
+            continue;
+        for (PageSize size : all_page_sizes) {
+            bytes += pt->tableOf(size).hostBytes();
+            entries += pt->tableOf(size).size();
+        }
+    }
+    std::printf("  host bytes per resident ECPT entry: %.1f "
+                "(%llu entries, %.1f MB)\n",
+                entries ? static_cast<double>(bytes) / entries : 0.0,
+                (unsigned long long)entries, bytes / 1048576.0);
+}
+
 /**
  * A whole prefault of one 256MB VMA on @p cfg; the rate is per fault
  * (guest plus host). The count must equal what faulting the same
@@ -216,6 +236,7 @@ prefault(const char *name, const SystemConfig &cfg, bool &ok)
     NestedSystem sys(cfg);
     sys.mmapRegion(bytes);
     Sample s = measure(name, faults, [&] { sys.prefaultAll(); });
+    printHostBytes(sys);
     if (faultCount(sys) != faults) {
         std::fprintf(stderr, "%s: expected %llu faults, got %llu\n", name,
                      (unsigned long long)faults,

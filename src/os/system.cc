@@ -9,6 +9,23 @@
 namespace necpt
 {
 
+namespace
+{
+
+/** gVA -> hPA from the guest translation @p g of @p gva and the host
+ *  translation @p h of its gPA, at the effective page size
+ *  min(guest, host). */
+Translation
+compose(Addr gva, const Translation &g, const Translation &h)
+{
+    const PageSize eff = static_cast<int>(g.size) < static_cast<int>(h.size)
+                             ? g.size : h.size;
+    const Addr hpa = h.apply(g.apply(gva));
+    return {hpa - pageOffset(gva, eff), eff, true};
+}
+
+} // namespace
+
 NestedSystem::NestedSystem(const SystemConfig &config)
     : cfg(config), mmap_cursor(config.mmap_base)
 {
@@ -80,6 +97,9 @@ NestedSystem::NestedSystem(const SystemConfig &config)
           }
         }
     }
+
+    memo_on = cfg.guest_kind != PtKind::Hpt
+              && !(cfg.virtualized && cfg.host_kind == PtKind::Hpt);
 
     // Arm fault injection only after the machine is built: start-up
     // allocations (initial ways, CWT chunks) are not interesting
@@ -222,7 +242,7 @@ NestedSystem::guestFaultIn(Addr gva, Vma &vma)
     return {frame, size, true};
 }
 
-PageSize
+Translation
 NestedSystem::hostFaultIn(Addr gpa)
 {
     NECPT_ASSERT(cfg.virtualized);
@@ -230,11 +250,10 @@ NestedSystem::hostFaultIn(Addr gpa)
 
     // Page-table regions are always backed by 4KB pages (Section 4.3).
     if (isPtRegion(gpa)) {
-        const Addr page = pageBase(gpa, PageSize::Page4K);
-        hostMap(page, host_pool->allocFrame(PageSize::Page4K),
-                PageSize::Page4K);
+        const Addr frame = host_pool->allocFrame(PageSize::Page4K);
+        hostMap(pageBase(gpa, PageSize::Page4K), frame, PageSize::Page4K);
         noteHost4kBlock(gpa);
-        return PageSize::Page4K;
+        return {frame, PageSize::Page4K, true};
     }
 
     // Per-64MB-chunk decision, as on the guest side: coarse enough to
@@ -261,16 +280,14 @@ NestedSystem::hostFaultIn(Addr gpa)
         use_thp = false;
 
     if (use_thp) {
-        const Addr page = pageBase(gpa, PageSize::Page2M);
-        hostMap(page, host_pool->allocFrame(PageSize::Page2M),
-                PageSize::Page2M);
-        return PageSize::Page2M;
+        const Addr frame = host_pool->allocFrame(PageSize::Page2M);
+        hostMap(pageBase(gpa, PageSize::Page2M), frame, PageSize::Page2M);
+        return {frame, PageSize::Page2M, true};
     }
-    const Addr page = pageBase(gpa, PageSize::Page4K);
-    hostMap(page, host_pool->allocFrame(PageSize::Page4K),
-            PageSize::Page4K);
+    const Addr frame = host_pool->allocFrame(PageSize::Page4K);
+    hostMap(pageBase(gpa, PageSize::Page4K), frame, PageSize::Page4K);
     noteHost4kBlock(gpa);
-    return PageSize::Page4K;
+    return {frame, PageSize::Page4K, true};
 }
 
 void
@@ -438,7 +455,7 @@ NestedSystem::writeProtectPage(Addr gva)
 Translation
 NestedSystem::faultIn(Addr gva, bool &faulted)
 {
-    Translation g = guestTranslate(gva);
+    Translation g = guest_pt->lookup(gva);
     if (!g.valid) {
         Vma *vma = vmaOf(gva);
         if (!vma)
@@ -452,19 +469,26 @@ NestedSystem::faultIn(Addr gva, bool &faulted)
             hpt->lookup(gva);
         faulted = true;
     }
-    if (cfg.virtualized) {
-        const Addr gpa = g.apply(gva);
-        if (!host_pt->lookup(gpa).valid) {
-            hostFaultIn(gpa);
-            faulted = true;
-        }
+    if (!cfg.virtualized) {
+        memoFill(gva, g, g);
+        return g;
     }
+    const Addr gpa = g.apply(gva);
+    Translation h = host_pt->lookup(gpa);
+    if (!h.valid) {
+        h = hostFaultIn(gpa);
+        faulted = true;
+    }
+    memoFill(gva, g, compose(gva, g, h));
     return g;
 }
 
 bool
 NestedSystem::ensureResident(Addr gva)
 {
+    // A current memo entry holds valid translations at both levels.
+    if (memoHit(gva))
+        return false;
     bool faulted = false;
     faultIn(gva, faulted);
     return faulted;
@@ -543,7 +567,7 @@ NestedSystem::hostBackRun(const Addr *gpas, std::size_t n)
                 hostFaultIn(gpa);
             continue;
         }
-        if (hostFaultIn(gpa) != PageSize::Page4K || !host_ecpt
+        if (hostFaultIn(gpa).size != PageSize::Page4K || !host_ecpt
             || host_ecpt->tableOf(PageSize::Page4K).resizing())
             continue;
         // Consecutive gPAs in the rest of this 4KB host block: each
@@ -591,9 +615,31 @@ NestedSystem::quiesce()
     ++mutation_stamp;
 }
 
+const NestedSystem::MemoEntry *
+NestedSystem::memoHit(Addr gva) const
+{
+    if (!memo_on)
+        return nullptr;
+    const std::uint64_t page = gva >> pageShift(PageSize::Page4K);
+    const MemoEntry &m = memo[page % memo_entries];
+    return m.page == page && m.stamp == mutation_stamp ? &m : nullptr;
+}
+
+void
+NestedSystem::memoFill(Addr gva, const Translation &guest,
+                       const Translation &full) const
+{
+    if (!memo_on)
+        return;
+    const std::uint64_t page = gva >> pageShift(PageSize::Page4K);
+    memo[page % memo_entries] = {page, mutation_stamp, guest, full};
+}
+
 Translation
 NestedSystem::guestTranslate(Addr gva) const
 {
+    if (const MemoEntry *m = memoHit(gva))
+        return m->guest;
     return guest_pt->lookup(gva);
 }
 
@@ -626,32 +672,30 @@ NestedSystem::peekFullTranslate(Addr gva) const
         return {};
     if (!cfg.virtualized)
         return g;
-    const Addr gpa = g.apply(gva);
-    const Translation h = host_pt->peek(gpa);
+    const Translation h = host_pt->peek(g.apply(gva));
     if (!h.valid)
         return {};
-    const PageSize eff = static_cast<int>(g.size) < static_cast<int>(h.size)
-                             ? g.size : h.size;
-    const Addr hpa = h.apply(gpa);
-    return {hpa - pageOffset(gva, eff), eff, true};
+    return compose(gva, g, h);
 }
 
 Translation
 NestedSystem::fullTranslate(Addr gva)
 {
-    const Translation g = guestTranslate(gva);
+    if (const MemoEntry *m = memoHit(gva))
+        return m->full;
+    const Translation g = guest_pt->lookup(gva);
     if (!g.valid)
         return {};
-    if (!cfg.virtualized)
+    if (!cfg.virtualized) {
+        memoFill(gva, g, g);
         return g;
-    const Addr gpa = g.apply(gva);
-    const Translation h = hostTranslate(gpa);
+    }
+    const Translation h = hostTranslate(g.apply(gva));
     if (!h.valid)
         return {};
-    const PageSize eff = static_cast<int>(g.size) < static_cast<int>(h.size)
-                             ? g.size : h.size;
-    const Addr hpa = h.apply(gpa);
-    return {hpa - pageOffset(gva, eff), eff, true};
+    const Translation full = compose(gva, g, h);
+    memoFill(gva, g, full);
+    return full;
 }
 
 std::uint64_t

@@ -25,6 +25,7 @@
 #ifndef NECPT_OS_SYSTEM_HH
 #define NECPT_OS_SYSTEM_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -127,7 +128,8 @@ class NestedSystem
      * demand faults all count), plus quiesce() — retiring old table
      * generations changes probe-address layouts without touching any
      * mapping. The layout goldens record it as a count of every
-     * page-table update a run made.
+     * page-table update a run made. The translation memo (see
+     * guestTranslate) is valid only while it is unchanged.
      */
     std::uint64_t mutationStamp() const { return mutation_stamp; }
 
@@ -202,6 +204,15 @@ class NestedSystem
     /// @}
 
     /// @name Functional translations (used by walkers as ground truth)
+    /// A small direct-mapped memo of {4KB gVA page, mutationStamp(),
+    /// guest translation, full translation} lets one access resolve its
+    /// translation once: ensureResident() fills it from the lookups it
+    /// makes anyway, and guestTranslate() and fullTranslate() answer
+    /// from an entry whose stamp is still current. Every mutation
+    /// funnel bumps the stamp, so an answer from the memo is the one
+    /// the tables would give. The memo is off when either table is an
+    /// HPT (its lookups count toward avgProbes()); peekFullTranslate()
+    /// never reads it.
     /// @{
     /** gVA -> gPA (final in native mode). */
     Translation guestTranslate(Addr gva) const;
@@ -347,8 +358,30 @@ class NestedSystem
     Translation guestFaultIn(Addr gva, Vma &vma);
 
     /** Install host backing for the page containing @p gpa.
-     *  @return the size of the host page mapped. */
-    PageSize hostFaultIn(Addr gpa);
+     *  @return the host mapping installed. */
+    Translation hostFaultIn(Addr gpa);
+
+    /** One remembered translation of a 4KB guest-virtual page. */
+    struct MemoEntry
+    {
+        std::uint64_t page = ~0ULL; //!< gVA >> 12; ~0 never matches
+        std::uint64_t stamp = 0;    //!< mutationStamp() when filled
+        Translation guest;
+        Translation full;
+    };
+    /** Enough that a walk's page survives the accesses other cores
+     *  and overlapped walks issue while it runs (16 covers one core
+     *  walking one page at a time). */
+    static constexpr std::size_t memo_entries = 256;
+
+    /** The memo entry for @p gva when its stamp is current, else null
+     *  (always null with the memo off). */
+    const MemoEntry *memoHit(Addr gva) const;
+
+    /** Remember the valid translations @p guest and @p full of @p gva
+     *  at the current stamp (no-op with the memo off). */
+    void memoFill(Addr gva, const Translation &guest,
+                  const Translation &full) const;
 
     /** Record that the 2MB gPA block holding @p gpa has a 4KB host
      *  mapping (consecutive 4KB faults of one block touch the set
@@ -405,6 +438,10 @@ class NestedSystem
     std::uint64_t guest_faults = 0;
     std::uint64_t host_faults = 0;
     std::uint64_t mutation_stamp = 0;
+
+    /** Off when either table is an HPT (counted lookups). */
+    bool memo_on = false;
+    mutable std::array<MemoEntry, memo_entries> memo{};
 };
 
 } // namespace necpt

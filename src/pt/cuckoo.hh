@@ -15,16 +15,35 @@
  * and addresses. The table reports each move through a callback so the
  * OS can update Cuckoo Walk Tables, and counts moves — the reason the
  * paper's designs never cache hPTE->gPTE pointers (Section 4.4).
+ *
+ * Host storage is kept apart from the simulated layout. A simulated
+ * slot is `slot_bytes` at `base + idx * slot_bytes`, as the hardware
+ * sees it. On the host each way is a dense array of 16-byte cells
+ * {key, ref}: an empty cell holds the reserved key `empty_key`, and
+ * `ref` names the entry's payload in one chunked pool owned by the
+ * table. A probe reads one cell per way and the payload only on a hit;
+ * a kick, a resize migration or a homeless park moves a key and a
+ * ref, never the payload, so a payload stays at one host address
+ * from insert to erase.
  */
 
 #ifndef NECPT_PT_CUCKOO_HH
 #define NECPT_PT_CUCKOO_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
+
+#if __has_include(<sys/mman.h>)
+#include <sys/mman.h>
+#endif
 
 #include "common/bitops.hh"
 #include "common/fault.hh"
@@ -38,6 +57,49 @@
 
 namespace necpt
 {
+
+namespace detail
+{
+
+struct FreeHost
+{
+    void operator()(void *p) const { std::free(p); }
+};
+
+/** Uninitialized host storage from allocHost(). */
+template <typename T>
+using HostPtr = std::unique_ptr<T, FreeHost>;
+
+/**
+ * Uninitialized host storage for @p n objects of @p T. A buffer of
+ * 2MB or more is 2MB-aligned and advised for transparent huge pages:
+ * the cuckoo cell arrays and payload chunks are read at random, and
+ * on 4KB pages nearly every cold probe would also miss the TLB.
+ */
+template <typename T>
+HostPtr<T>
+allocHost(std::size_t n)
+{
+    static_assert(std::is_trivially_destructible_v<T>);
+    constexpr std::size_t huge = std::size_t{2} << 20;
+    std::size_t bytes = n * sizeof(T);
+    void *p = nullptr;
+    if (bytes < huge) {
+        p = std::malloc(bytes);
+    } else {
+        bytes = (bytes + huge - 1) & ~(huge - 1);
+        p = std::aligned_alloc(huge, bytes);
+#ifdef MADV_HUGEPAGE
+        if (p)
+            madvise(p, bytes, MADV_HUGEPAGE);
+#endif
+    }
+    if (!p)
+        throw std::bad_alloc();
+    return HostPtr<T>(static_cast<T *>(p));
+}
+
+} // namespace detail
 
 /** Configuration of one elastic cuckoo table. */
 struct CuckooConfig
@@ -58,7 +120,12 @@ template <typename ValueT>
 class ElasticCuckooTable
 {
   public:
-    /** A successful find: the payload plus its hardware location. */
+    /** The key an empty cell holds; never a valid key to insert. */
+    static constexpr std::uint64_t empty_key = ~0ULL;
+
+    /** A successful find: the payload plus its hardware location. The
+     *  payload pointer stays valid until its key is erased: later
+     *  inserts, kicks and resizes move the key, not the payload. */
     struct FindResult
     {
         ValueT *value = nullptr;
@@ -125,6 +192,7 @@ class ElasticCuckooTable
     int
     update(std::uint64_t key, Edit &&edit)
     {
+        NECPT_ASSERT(key != empty_key);
         // Injected resize window: open a fresh two-generation phase so
         // this insert (and the probes that follow) run mid-resize.
         if (fault_plan && !old && fault_plan->forceResizeWindow()) {
@@ -144,9 +212,9 @@ class ElasticCuckooTable
             edit(*hit.value);
             settled_way = hit.way;
         } else {
-            ValueT value{};
-            edit(value);
-            if (!tryPlace(key, value, raw)) {
+            const std::uint32_t ref = pool.alloc();
+            edit(pool.at(ref));
+            if (!tryPlace(key, ref, raw)) {
                 recoverFailedPlace();
                 settle();
             }
@@ -179,8 +247,10 @@ class ElasticCuckooTable
     {
         // Empty tables answer without hashing: a multi-size lookup
         // probes every page-size table, and for most workloads all but
-        // one of them stays empty for the whole run.
-        if (live.used == 0 && (!old || old->used == 0))
+        // one of them stays empty for the whole run. The reserved key
+        // is never resident (it would match every empty cell).
+        if (key == empty_key
+            || (live.used == 0 && (!old || old->used == 0)))
             return {};
         // One hash pass covers both generations: the raw 64-bit values
         // are generation-independent, only the modulo differs.
@@ -205,6 +275,8 @@ class ElasticCuckooTable
     bool
     erase(std::uint64_t key)
     {
+        if (key == empty_key)
+            return false;
         std::uint64_t raw[HashFamily::max_ways];
         rawHashes(key, raw);
         bool hit = eraseIn(live, key, raw);
@@ -212,6 +284,7 @@ class ElasticCuckooTable
             hit = eraseIn(*old, key, raw);
         for (auto it = homeless.begin(); it != homeless.end(); ++it) {
             if (it->first == key) {
+                pool.release(it->second);
                 homeless.erase(it);
                 hit = true;
                 break;
@@ -275,6 +348,18 @@ class ElasticCuckooTable
         return bytes;
     }
 
+    /** Host bytes behind the table: the cell arrays of both
+     *  generations plus the payload pool's chunks. structureBytes() is
+     *  the simulated footprint; this is what the model costs. */
+    std::uint64_t
+    hostBytes() const
+    {
+        std::uint64_t cells = live.slots;
+        if (old)
+            cells += old->slots;
+        return cells * cfg.ways * sizeof(Cell) + pool.bytes();
+    }
+
     /** Cuckoo displacements observed (Section 4.4 staleness driver). */
     std::uint64_t rehashMoves() const { return rehash_moves; }
 
@@ -319,23 +404,100 @@ class ElasticCuckooTable
     void
     forEach(Fn &&fn) const
     {
-        for (int w = 0; w < cfg.ways; ++w)
-            for (const Slot &slot : live.way_slots[w])
-                if (slot.valid)
-                    fn(slot.key, slot.value, w, false);
+        forEachIn(live, false, fn);
         if (old)
-            for (int w = 0; w < cfg.ways; ++w)
-                for (const Slot &slot : old->way_slots[w])
-                    if (slot.valid)
-                        fn(slot.key, slot.value, w, true);
+            forEachIn(*old, true, fn);
     }
 
   private:
-    struct Slot
+    /** One host cell: a key and its payload's pool ref (16 bytes). */
+    struct Cell
     {
-        std::uint64_t key = 0;
-        ValueT value{};
-        bool valid = false;
+        std::uint64_t key = empty_key;
+        std::uint32_t ref = 0;
+
+        bool empty() const { return key == empty_key; }
+    };
+    static_assert(sizeof(Cell) == 16);
+
+    /**
+     * Payloads addressed by a 32-bit ref, in chunks that double in size
+     * (chunk k holds `first_chunk << k`), so a small table keeps a small
+     * pool and a large one few chunks. Chunks are never moved or freed
+     * before the table, so a payload's host address is stable. A chunk's
+     * payloads are constructed as their refs are first handed out, so
+     * host pages are touched as the pool fills; erased refs go on a
+     * free list and come back value-initialized.
+     */
+    class PayloadPool
+    {
+      public:
+        std::uint32_t
+        alloc()
+        {
+            if (!free_refs.empty()) {
+                const std::uint32_t ref = free_refs.back();
+                free_refs.pop_back();
+                at(ref) = ValueT{};
+                return ref;
+            }
+            NECPT_ASSERT(next < ~std::uint32_t{0});
+            const Place p = place(next);
+            if (p.chunk == chunks.size())
+                chunks.push_back(
+                    detail::allocHost<ValueT>(first_chunk << p.chunk));
+            new (chunks[p.chunk].get() + p.offset) ValueT{};
+            return next++;
+        }
+
+        void release(std::uint32_t ref) { free_refs.push_back(ref); }
+
+        ValueT &
+        at(std::uint32_t ref)
+        {
+            const Place p = place(ref);
+            return chunks[p.chunk].get()[p.offset];
+        }
+        const ValueT &
+        at(std::uint32_t ref) const
+        {
+            const Place p = place(ref);
+            return chunks[p.chunk].get()[p.offset];
+        }
+
+        /** Bytes of every chunk allocated so far. */
+        std::uint64_t
+        bytes() const
+        {
+            return ((first_chunk << chunks.size()) - first_chunk)
+                   * sizeof(ValueT);
+        }
+
+      private:
+        static constexpr unsigned first_shift = 10;
+        static constexpr std::uint64_t first_chunk = 1u << first_shift;
+
+        struct Place
+        {
+            std::size_t chunk;
+            std::uint64_t offset;
+        };
+
+        /** Chunks 0..k-1 hold `first_chunk * (2^k - 1)` payloads, so
+         *  `ref + first_chunk` has its top bit at `first_shift + k`
+         *  in chunk k, and the bits below it are the offset. */
+        static Place
+        place(std::uint32_t ref)
+        {
+            const std::uint64_t x = std::uint64_t{ref} + first_chunk;
+            const int top = std::bit_width(x) - 1;
+            return {static_cast<std::size_t>(top - first_shift),
+                    x - (std::uint64_t{1} << top)};
+        }
+
+        std::vector<detail::HostPtr<ValueT>> chunks;
+        std::vector<std::uint32_t> free_refs;
+        std::uint32_t next = 0;
     };
 
     struct Generation
@@ -343,9 +505,15 @@ class ElasticCuckooTable
         std::uint64_t slots = 0;
         std::uint64_t used = 0;
         std::uint64_t slot_mask = 0; //!< slots-1 when power of 2, else 0
-        std::vector<std::vector<Slot>> way_slots; //!< [way][slot]
-        std::vector<Addr> base;                   //!< per-way region base
-        std::uint64_t migrate_scan = 0;           //!< way-major scan index
+        /** Per-way cell arrays, slot index order. */
+        std::array<detail::HostPtr<Cell>, HashFamily::max_ways> cells;
+
+        Cell &cell(int way, std::uint64_t idx) const
+        {
+            return cells[way].get()[idx];
+        }
+        std::vector<Addr> base;         //!< per-way region base
+        std::uint64_t migrate_scan = 0; //!< way-major scan index
     };
 
     Generation
@@ -354,19 +522,33 @@ class ElasticCuckooTable
         Generation gen;
         gen.slots = slots;
         gen.slot_mask = isPowerOf2(slots) ? slots - 1 : 0;
-        gen.way_slots.assign(cfg.ways, std::vector<Slot>(slots));
-        for (int w = 0; w < cfg.ways; ++w)
+        for (int w = 0; w < cfg.ways; ++w) {
+            gen.cells[w] = detail::allocHost<Cell>(slots);
+            std::uninitialized_fill_n(gen.cells[w].get(), slots, Cell{});
             gen.base.push_back(alloc.allocRegion(slots * cfg.slot_bytes));
+        }
         return gen;
     }
 
     void
     releaseGeneration(Generation &gen)
     {
-        for (std::size_t w = 0; w < gen.base.size(); ++w)
+        for (std::size_t w = 0; w < gen.base.size(); ++w) {
             alloc.freeRegion(gen.base[w], gen.slots * cfg.slot_bytes);
-        gen.way_slots.clear();
+            gen.cells[w].reset();
+        }
         gen.base.clear();
+    }
+
+    /** forEach() over one generation: way-major, slot index order. */
+    template <typename Fn>
+    void
+    forEachIn(const Generation &gen, bool is_old, Fn &fn) const
+    {
+        for (int w = 0; w < cfg.ways; ++w)
+            for (std::uint64_t i = 0; i < gen.slots; ++i)
+                if (const Cell &cell = gen.cell(w, i); !cell.empty())
+                    fn(cell.key, pool.at(cell.ref), w, is_old);
     }
 
     /** Compute all ways' raw hashes of @p key in one pass — the d
@@ -415,9 +597,10 @@ class ElasticCuckooTable
     {
         for (int w = 0; w < cfg.ways; ++w) {
             const auto idx = reduce(gen, raw[w]);
-            Slot &slot = gen.way_slots[w][idx];
-            if (slot.valid && slot.key == key)
-                return {&slot.value, w, slotAddr(gen, w, idx), is_old};
+            const Cell &cell = gen.cell(w, idx);
+            if (cell.key == key)
+                return {&pool.at(cell.ref), w, slotAddr(gen, w, idx),
+                        is_old};
         }
         return {};
     }
@@ -427,9 +610,10 @@ class ElasticCuckooTable
     {
         for (int w = 0; w < cfg.ways; ++w) {
             const auto idx = reduce(gen, raw[w]);
-            Slot &slot = gen.way_slots[w][idx];
-            if (slot.valid && slot.key == key) {
-                slot.valid = false;
+            Cell &cell = gen.cell(w, idx);
+            if (cell.key == key) {
+                pool.release(cell.ref);
+                cell.key = empty_key;
                 --gen.used;
                 return true;
             }
@@ -438,13 +622,14 @@ class ElasticCuckooTable
     }
 
     /**
-     * Cuckoo placement into the live generation, displacing entries
-     * along a bounded random-walk path. On failure the carried entry is
-     * parked on the homeless list and false is returned. @p key_raw,
-     * when given, holds @p key's hashes (the caller already probed).
+     * Cuckoo placement of @p key and its payload @p ref into the live
+     * generation, displacing entries along a bounded random-walk path.
+     * On failure the carried entry is parked on the homeless list and
+     * false is returned. @p key_raw, when given, holds @p key's hashes
+     * (the caller already probed).
      */
     bool
-    tryPlace(std::uint64_t key, const ValueT &value,
+    tryPlace(std::uint64_t key, std::uint32_t ref,
              const std::uint64_t *key_raw = nullptr)
     {
         // Injected kick exhaustion: park the entry as if the bounded
@@ -455,11 +640,11 @@ class ElasticCuckooTable
         if (fault_plan && fault_plan->forceKickExhaustion()) {
             ++injected_kicks;
             kick_injected = true;
-            homeless.emplace_back(key, value);
+            homeless.emplace_back(key, ref);
             return false;
         }
         std::uint64_t cur_key = key;
-        ValueT cur_value = value;
+        std::uint32_t cur_ref = ref;
         int last_way = -1;
         std::uint64_t buf[HashFamily::max_ways];
         for (int kick = 0; kick <= cfg.max_kicks; ++kick) {
@@ -470,11 +655,11 @@ class ElasticCuckooTable
                 rawHashes(cur_key, buf);
             for (int w = 0; w < cfg.ways; ++w) {
                 const auto idx = reduce(live, raw[w]);
-                Slot &slot = live.way_slots[w][idx];
-                if (!slot.valid) {
-                    slot = {cur_key, cur_value, true};
+                Cell &cell = live.cell(w, idx);
+                if (cell.empty()) {
+                    cell = {cur_key, cur_ref};
                     ++live.used;
-                    notifyMove(cur_key, w, slot.value, kick > 0);
+                    notifyMove(cur_key, w, pool.at(cur_ref), kick > 0);
                     return true;
                 }
             }
@@ -483,13 +668,13 @@ class ElasticCuckooTable
                 w = static_cast<int>(rng.below(cfg.ways));
             } while (w == last_way && cfg.ways > 1);
             const auto idx = reduce(live, raw[w]);
-            Slot &slot = live.way_slots[w][idx];
-            std::swap(cur_key, slot.key);
-            std::swap(cur_value, slot.value);
-            notifyMove(slot.key, w, slot.value, true);
+            Cell &cell = live.cell(w, idx);
+            std::swap(cur_key, cell.key);
+            std::swap(cur_ref, cell.ref);
+            notifyMove(cell.key, w, pool.at(cell.ref), true);
             last_way = w;
         }
-        homeless.emplace_back(cur_key, cur_value);
+        homeless.emplace_back(cur_key, cur_ref);
         return false;
     }
 
@@ -498,9 +683,9 @@ class ElasticCuckooTable
     settle()
     {
         while (!homeless.empty()) {
-            auto [key, value] = homeless.back();
+            const auto [key, ref] = homeless.back();
             homeless.pop_back();
-            if (!tryPlace(key, value))
+            if (!tryPlace(key, ref))
                 recoverFailedPlace();
         }
     }
@@ -546,11 +731,12 @@ class ElasticCuckooTable
     startResize()
     {
         if (old) {
-            for (auto &way : old->way_slots) {
-                for (Slot &slot : way) {
-                    if (slot.valid) {
-                        homeless.emplace_back(slot.key, slot.value);
-                        slot.valid = false;
+            for (int w = 0; w < cfg.ways; ++w) {
+                for (std::uint64_t i = 0; i < old->slots; ++i) {
+                    Cell &cell = old->cell(w, i);
+                    if (!cell.empty()) {
+                        homeless.emplace_back(cell.key, cell.ref);
+                        cell.key = empty_key;
                         --old->used;
                     }
                 }
@@ -580,18 +766,17 @@ class ElasticCuckooTable
         const std::uint64_t total = old->slots * cfg.ways;
         while (old->migrate_scan < total
                && moved < cfg.migrate_per_insert) {
-            const auto way = old->migrate_scan / old->slots;
+            const auto way = static_cast<int>(old->migrate_scan / old->slots);
             const auto idx = old->migrate_scan % old->slots;
             ++old->migrate_scan;
-            Slot &slot = old->way_slots[way][idx];
-            if (slot.valid) {
-                const auto key = slot.key;
-                const auto value = slot.value;
-                slot.valid = false;
+            Cell &cell = old->cell(way, idx);
+            if (!cell.empty()) {
+                const Cell moving = cell;
+                cell.key = empty_key;
                 --old->used;
                 ++resize_moves;
                 ++moved;
-                if (!tryPlace(key, value)) {
+                if (!tryPlace(moving.key, moving.ref)) {
                     if (kick_injected) {
                         // Injected exhaustion mid-migration: re-place
                         // without growing (see settle()).
@@ -628,7 +813,9 @@ class ElasticCuckooTable
     Generation live;
     std::optional<Generation> old;
     MoveCallback on_move;
-    std::vector<std::pair<std::uint64_t, ValueT>> homeless;
+    PayloadPool pool;
+    /** Parked {key, payload ref} pairs (see settle()). */
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> homeless;
 
     FaultPlan *fault_plan = nullptr;
     TraceBuffer *tracer = nullptr;

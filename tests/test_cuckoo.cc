@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <set>
 
@@ -359,6 +360,158 @@ TEST(Cuckoo, EraseRemovesFromBothGenerationsMidResize)
             std::find(victims.begin(), victims.end(), k) != victims.end();
         EXPECT_EQ(static_cast<bool>(table.find(k)), !erased) << "key " << k;
     }
+}
+
+// ------------------------------------------- host storage contract
+
+// A payload lives at one host address from insert to erase: kicks and
+// elastic-resize migrations move the key's cell, never the payload.
+TEST(CuckooStorage, FindValueSurvivesKicksAndResizes)
+{
+    BumpAllocator alloc;
+    CuckooConfig cfg = tinyConfig(32, 2);
+    cfg.resize_threshold = 0.95; // long displacement chains
+    Table table(alloc, cfg);
+    constexpr std::uint64_t watched = 5;
+    table.insert(watched, 5000);
+    const auto first = table.find(watched);
+    ASSERT_TRUE(first);
+    std::uint64_t *const payload = first.value;
+
+    bool kicked = false;
+    std::uint64_t k = 100;
+    for (; !kicked && k < 100 + 60; ++k) {
+        table.insert(k, k);
+        const auto hit = table.find(watched);
+        ASSERT_TRUE(hit);
+        kicked = hit.slot_addr != first.slot_addr;
+        ASSERT_EQ(hit.value, payload) << "after inserting key " << k;
+    }
+    ASSERT_TRUE(kicked) << "no insert displaced the watched key";
+
+    const std::uint64_t resizes = table.resizeCount();
+    while (table.resizeCount() == resizes)
+        table.insert(k, k), ++k;
+    table.finishResize();
+    const auto moved = table.find(watched);
+    ASSERT_TRUE(moved);
+    EXPECT_NE(moved.slot_addr, first.slot_addr);
+    EXPECT_EQ(moved.value, payload);
+    EXPECT_EQ(*moved.value, 5000u);
+}
+
+// Erased payloads are recycled through the pool's free list; a key
+// that receives one must start from a value-initialized payload.
+TEST(CuckooStorage, ReinsertAfterEraseStartsFromAFreshPayload)
+{
+    struct Block
+    {
+        std::array<std::uint64_t, 8> pte{};
+    };
+    BumpAllocator alloc;
+    ElasticCuckooTable<Block> table(alloc, tinyConfig());
+    auto fill = [](Block &b) { b.pte.fill(0xDEAD); };
+    for (std::uint64_t k = 1; k <= 20; ++k)
+        table.update(k, fill);
+
+    for (std::uint64_t k = 1; k <= 20; k += 2)
+        ASSERT_TRUE(table.erase(k));
+    // Same keys back, and new keys that take the other freed payloads.
+    for (std::uint64_t k : {1ULL, 3ULL, 1001ULL, 1002ULL, 1003ULL}) {
+        Block seen;
+        seen.pte.fill(1);
+        table.update(k, [&](Block &b) {
+            seen = b;
+            b.pte[0] = k;
+        });
+        for (const std::uint64_t pte : seen.pte)
+            ASSERT_EQ(pte, 0u) << "stale payload handed to key " << k;
+        EXPECT_EQ(table.find(k).value->pte[0], k);
+    }
+    // The survivors kept theirs.
+    for (std::uint64_t k = 2; k <= 20; k += 2)
+        EXPECT_EQ(table.find(k).value->pte[7], 0xDEADu) << "key " << k;
+}
+
+// forEach walks the live generation, then the retiring one; each
+// way-major, in slot-index order. Migration and the CWT audits read
+// the table in that order.
+TEST(CuckooStorage, ForEachVisitsLiveThenOldWayMajorBySlot)
+{
+    BumpAllocator alloc;
+    Table table(alloc, tinyConfig(32, 3));
+    std::uint64_t end = fillUntilResizing(table);
+    table.insert(end, end), ++end;
+    ASSERT_TRUE(table.resizing());
+
+    struct Visit
+    {
+        bool in_old;
+        int way;
+        Addr slot_addr;
+    };
+    std::vector<Visit> visits;
+    table.forEach([&](std::uint64_t key, std::uint64_t value, int way,
+                      bool in_old) {
+        EXPECT_EQ(value, key);
+        const auto hit = table.find(key);
+        ASSERT_TRUE(hit);
+        EXPECT_EQ(hit.in_old_generation, in_old);
+        EXPECT_EQ(hit.way, way);
+        visits.push_back({in_old, way, hit.slot_addr});
+    });
+    ASSERT_EQ(visits.size(), table.size());
+    bool saw_old = false;
+    for (std::size_t i = 1; i < visits.size(); ++i) {
+        const Visit &a = visits[i - 1];
+        const Visit &b = visits[i];
+        saw_old |= b.in_old;
+        ASSERT_LE(a.in_old, b.in_old) << "visit " << i;
+        if (a.in_old != b.in_old)
+            continue;
+        ASSERT_LE(a.way, b.way) << "visit " << i;
+        if (a.way == b.way) {
+            ASSERT_LT(a.slot_addr, b.slot_addr) << "visit " << i;
+        }
+    }
+    EXPECT_TRUE(saw_old);
+}
+
+// Injected kick exhaustion parks entries on the homeless list; they
+// carry their payload refs there and back.
+TEST(CuckooStorage, ParkedEntriesKeepTheirPayloads)
+{
+    BumpAllocator alloc;
+    CuckooConfig cfg = tinyConfig(64, 3);
+    Table table(alloc, cfg);
+    FaultSpec spec;
+    spec.kick_prob = 0.3;
+    FaultPlan plan(spec, 23);
+    table.setFaultPlan(&plan);
+
+    std::map<std::uint64_t, std::uint64_t *> payload_of;
+    for (std::uint64_t k = 1; k <= 250; ++k) {
+        table.insert(k * 13, k * 100);
+        ASSERT_EQ(table.homelessCount(), 0u) << "after key " << k;
+        payload_of[k * 13] = table.find(k * 13).value;
+        for (const auto &[key, payload] : payload_of) {
+            const auto hit = table.find(key);
+            ASSERT_TRUE(hit) << "key " << key;
+            ASSERT_EQ(hit.value, payload) << "key " << key;
+            ASSERT_EQ(*hit.value, key / 13 * 100) << "key " << key;
+        }
+    }
+    EXPECT_GT(table.injectedKickFailures(), 0u);
+}
+
+TEST(CuckooStorage, HostBytesCountCellsAndPoolChunks)
+{
+    BumpAllocator alloc;
+    Table table(alloc, tinyConfig(64, 3));
+    const std::uint64_t empty = table.hostBytes();
+    EXPECT_EQ(empty, 64u * 3 * 16); // cells only: no payload yet
+    table.insert(1, 1);
+    EXPECT_GT(table.hostBytes(), empty);
 }
 
 } // namespace necpt

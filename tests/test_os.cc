@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdio>
+#include <string>
+
+#include "common/rng.hh"
 #include "os/phys_pool.hh"
 #include "os/system.hh"
 
@@ -256,6 +261,248 @@ TEST(System, HostFlatBaseline)
     const Addr base = sys.mmapRegion(1ULL << 20);
     sys.ensureResident(base);
     EXPECT_TRUE(sys.fullTranslate(base).valid);
+}
+
+// A guest page-table page backed before prefault lies in the region
+// zone at the top of guest-physical space, so every data frame the
+// prefault then allocates is below the host mapping mark yet unbacked:
+// the range pass must still look each one up and fault it in.
+TEST(System, PrefaultBacksUnbackedGpasBelowTheHostMark)
+{
+    constexpr std::uint64_t bytes = 8ULL << 20;
+    for (const bool host_thp : {false, true}) {
+        SCOPED_TRACE(host_thp ? "host THP" : "host 4KB");
+        auto cfg = smallSystem(PtKind::Ecpt, PtKind::Ecpt, false);
+        cfg.host_thp = host_thp;
+        cfg.host_thp_coverage = 1.0;
+        NestedSystem sys(cfg);
+        NestedSystem reference(cfg);
+        const Addr base = sys.mmapRegion(bytes);
+        ASSERT_EQ(reference.mmapRegion(bytes), base);
+        for (NestedSystem *s : {&sys, &reference}) {
+            const Addr pt_gpa =
+                s->guestEcpt()->tableOf(PageSize::Page4K).wayBase(0);
+            ASSERT_TRUE(s->hostTranslate(pt_gpa).valid);
+        }
+
+        sys.prefaultAll();
+        for (Addr va = base; va < base + bytes;
+             va += pageBytes(PageSize::Page4K))
+            reference.ensureResident(va);
+        reference.quiesce();
+
+        EXPECT_EQ(sys.hostFaults(), reference.hostFaults());
+        for (Addr va = base; va < base + bytes;
+             va += pageBytes(PageSize::Page4K)) {
+            const Translation got = sys.peekFullTranslate(va);
+            const Translation want = reference.peekFullTranslate(va);
+            ASSERT_TRUE(got.valid) << "gVA 0x" << std::hex << va;
+            ASSERT_EQ(got.pa, want.pa) << "gVA 0x" << std::hex << va;
+            ASSERT_EQ(got.size, want.size) << "gVA 0x" << std::hex << va;
+        }
+    }
+}
+
+// ------------------------------------------------- translation memo
+
+namespace
+{
+
+bool
+sameTranslation(const Translation &a, const Translation &b)
+{
+    return a.valid == b.valid
+           && (!a.valid || (a.pa == b.pa && a.size == b.size));
+}
+
+std::string
+describe(const Translation &t)
+{
+    if (!t.valid)
+        return "invalid";
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%s page at 0x%llx",
+                  pageSizeName(t.size),
+                  static_cast<unsigned long long>(t.pa));
+    return buf;
+}
+
+/** The guest table of @p sys, whatever its organization. */
+const PageTable &
+guestTable(NestedSystem &sys)
+{
+    if (const PageTable *t = sys.guestEcpt())
+        return *t;
+    if (const PageTable *t = sys.guestRadix())
+        return *t;
+    return *sys.guestHpt();
+}
+
+enum MemoOp
+{
+    OpResident,
+    OpGuest,
+    OpFull,
+    OpMigrate,
+    OpBalloon,
+    OpDemote,
+    OpPromote,
+    OpProtect,
+    OpQuiesce,
+    num_memo_ops
+};
+
+/**
+ * A seeded interleaving of demand faults, guest and full translations
+ * and every mutation funnel over 96 gVA pages of six 64MB THP regions
+ * (pages 2MB apart share a memo index, so entries are evicted as
+ * well as outdated). Every answer is checked against the tables read
+ * without the memo: guestTranslate() against the guest table's peek,
+ * fullTranslate() against peekFullTranslate(). After each mutation
+ * the mutated gVA is translated again at once, the read a memo would
+ * answer stale. With @p direct the guest and full translations are
+ * made the way they were before the memo existed (table lookups and
+ * hostTranslate()), for a twin to compare counted statistics with.
+ * @p done counts the calls that changed or answered something.
+ */
+void
+runMemoInterleaving(NestedSystem &sys, bool direct, std::uint64_t seed,
+                    std::array<int, num_memo_ops> &done)
+{
+    constexpr std::uint64_t region = 64ULL << 20;
+    const Addr base = sys.mmapRegion(6 * region);
+    auto guest = [&](Addr va) {
+        return direct ? guestTable(sys).lookup(va)
+                      : sys.guestTranslate(va);
+    };
+    auto full = [&](Addr va) -> Translation {
+        if (!direct)
+            return sys.fullTranslate(va);
+        const Translation g = guestTable(sys).lookup(va);
+        if (!g.valid || !sys.virtualized())
+            return g;
+        const Translation h = sys.hostTranslate(g.apply(va));
+        const Translation peek = sys.peekFullTranslate(va);
+        return h.valid ? peek : Translation{};
+    };
+    auto checkGuest = [&](Addr va, int step) {
+        const Translation got = guest(va);
+        const Translation want = guestTable(sys).peek(va);
+        ASSERT_TRUE(sameTranslation(got, want))
+            << "step " << step << " guestTranslate(0x" << std::hex << va
+            << ") gave " << describe(got) << ", the table holds "
+            << describe(want);
+        done[OpGuest] += got.valid;
+    };
+    auto checkFull = [&](Addr va, int step) {
+        const Translation got = full(va);
+        const Translation want = sys.peekFullTranslate(va);
+        ASSERT_TRUE(sameTranslation(got, want))
+            << "step " << step << " fullTranslate(0x" << std::hex << va
+            << ") gave " << describe(got) << ", the tables hold "
+            << describe(want);
+        done[OpFull] += got.valid;
+    };
+
+    Rng rng(seed);
+    for (int step = 0; step < 3000; ++step) {
+        const Addr va = base + rng.below(6) * region
+                        + rng.below(2) * pageBytes(PageSize::Page2M)
+                        + rng.below(8) * pageBytes(PageSize::Page4K)
+                        + rng.below(pageBytes(PageSize::Page4K));
+        const std::uint64_t pick = rng.below(20);
+        MemoOp op = OpResident;
+        if (pick >= 6)
+            op = pick < 10 ? OpGuest
+                 : pick < 14 ? OpFull
+                             : static_cast<MemoOp>(OpMigrate + pick - 14);
+        bool changed = false;
+        switch (op) {
+          case OpResident:
+            sys.ensureResident(va);
+            ASSERT_TRUE(sys.peekFullTranslate(va).valid)
+                << "step " << step << " gVA 0x" << std::hex << va;
+            ++done[OpResident];
+            break;
+          case OpGuest:
+            ASSERT_NO_FATAL_FAILURE(checkGuest(va, step));
+            break;
+          case OpFull:
+            ASSERT_NO_FATAL_FAILURE(checkFull(va, step));
+            break;
+          case OpMigrate:
+            changed = sys.migratePage(va);
+            break;
+          case OpBalloon:
+            changed = sys.balloonOut(va).ok;
+            break;
+          case OpDemote:
+            changed = sys.thpDemote(va) > 0;
+            break;
+          case OpPromote:
+            changed = sys.thpPromote(va) > 0;
+            break;
+          case OpProtect:
+            changed = sys.writeProtectPage(va);
+            break;
+          case OpQuiesce:
+            sys.quiesce();
+            changed = true;
+            break;
+          case num_memo_ops:
+            break;
+        }
+        if (op == OpResident || op == OpGuest || op == OpFull)
+            continue;
+        done[op] += changed;
+        ASSERT_NO_FATAL_FAILURE(checkGuest(va, step));
+        ASSERT_NO_FATAL_FAILURE(checkFull(va, step));
+    }
+}
+
+} // namespace
+
+class TranslationMemo : public ::testing::TestWithParam<PtKind>
+{
+};
+
+TEST_P(TranslationMemo, AgreesWithTheTablesUnderEveryMutationFunnel)
+{
+    auto cfg = smallSystem(GetParam(), GetParam(), true);
+    cfg.guest_thp_coverage = 0.5;
+    cfg.host_thp_coverage = 0.5;
+    NestedSystem sys(cfg);
+    std::array<int, num_memo_ops> done{};
+    ASSERT_NO_FATAL_FAILURE(runMemoInterleaving(sys, false, 0x3E30, done));
+    // Every funnel really changed the tables at least once.
+    for (int op = OpResident; op < num_memo_ops; ++op)
+        EXPECT_GT(done[op], 0) << "op " << op;
+}
+
+INSTANTIATE_TEST_SUITE_P(Nested, TranslationMemo,
+                         ::testing::Values(PtKind::Ecpt, PtKind::Radix),
+                         [](const ::testing::TestParamInfo<PtKind> &p) {
+                             return p.param == PtKind::Ecpt
+                                        ? std::string("Ecpt")
+                                        : std::string("Radix");
+                         });
+
+// HPT lookups are counted statistics (avgProbes), so the memo stays
+// off there: the public calls must count exactly the lookups a twin
+// makes straight through the tables.
+TEST(TranslationMemoHpt, ProbeStatisticsUnchanged)
+{
+    const auto cfg = smallSystem(PtKind::Hpt, PtKind::Hpt, false);
+    NestedSystem sys(cfg);
+    NestedSystem twin(cfg);
+    std::array<int, num_memo_ops> done{}, twin_done{};
+    ASSERT_NO_FATAL_FAILURE(runMemoInterleaving(sys, false, 0x4B7, done));
+    ASSERT_NO_FATAL_FAILURE(
+        runMemoInterleaving(twin, true, 0x4B7, twin_done));
+    EXPECT_EQ(done, twin_done);
+    EXPECT_GT(done[OpFull], 0);
+    EXPECT_EQ(sys.guestHpt()->avgProbes(), twin.guestHpt()->avgProbes());
+    EXPECT_EQ(sys.hostHpt()->avgProbes(), twin.hostHpt()->avgProbes());
 }
 
 } // namespace necpt
